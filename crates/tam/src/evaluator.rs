@@ -6,10 +6,10 @@
 //! architecture evaluation is a cheap reduction over its rails'
 //! components. Because the optimizer's moves change only one or two
 //! rails at a time, components are memoized by rail fingerprint and the
-//! delta API [`Evaluator::evaluate_from`] reuses every untouched
-//! component — and, when no group's rail set changed, the previous
-//! Algorithm 1 schedule too. Assembled results are bit-identical to a
-//! from-scratch evaluation (see DESIGN.md §12).
+//! one delta primitive, [`SwapState`], patches the reductions of an
+//! evaluated architecture per swapped component — reusing the Algorithm
+//! 1 makespan whenever no group row changed. Costs and readouts are
+//! bit-identical to a from-scratch evaluation (see DESIGN.md §12).
 
 use std::sync::Arc;
 
@@ -275,85 +275,78 @@ pub struct Evaluation {
     /// Per-group SI timing.
     pub group_times: Vec<SiGroupTime>,
     /// The SI schedule produced by Algorithm 1, shared by reference:
-    /// evaluations that reuse a base schedule (or hit the schedule
-    /// cache) alias one allocation instead of deep-cloning it.
+    /// evaluations that hit the schedule cache alias one allocation
+    /// instead of deep-cloning it.
     pub schedule: Arc<SiSchedule>,
     /// `T_soc^in`: the maximum per-rail InTest time.
     pub t_in: u64,
     /// `T_soc^si`: the SI schedule makespan.
     pub t_si: u64,
     /// The per-rail components the evaluation was assembled from, in
-    /// rail order. [`Evaluator::evaluate_from`] reuses these for every
-    /// rail an optimizer move does not touch.
+    /// rail order. [`Evaluator::swap_state`] seeds a [`SwapState`] from
+    /// them, so the rails an optimizer move does not touch are never
+    /// re-evaluated.
     pub rail_evals: Vec<Arc<RailEval>>,
 }
 
-/// The cost summary of a candidate architecture, produced by
-/// [`Evaluator::cost_from`] / [`Evaluator::cost_from_mapped`] without
-/// materializing a full [`Evaluation`]. Each field is bit-identical to
-/// the corresponding quantity of the assembled evaluation.
+/// The cost summary of a [`SwapState`], or of one swap against it
+/// ([`Evaluator::swap_cost`]), produced without materializing a full
+/// [`Evaluation`]. Each field is bit-identical to the corresponding
+/// quantity of the assembled evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaCost {
     /// `T_soc^in` of the candidate.
     pub t_in: u64,
     /// `T_soc^si` of the candidate.
     pub t_si: u64,
-    /// `Σ_r time_used(r)` — the secondary key wire rebalancing breaks
-    /// ties with (equals `Evaluation::rail_time_used().iter().sum()`).
+    /// `Σ_r time_used(r)`, saturating at `u64::MAX` — the secondary key
+    /// wire rebalancing breaks ties with.
     pub rail_used_sum: u64,
 }
 
-/// Precomputed reduction state over one base [`Evaluation`], built by
-/// [`Evaluator::probe_ctx`] and consumed by [`Evaluator::cost_swap`]:
-/// the top-two per-rail InTest times (so the max excluding any one rail
-/// is O(1)), the utilized-time sum, and the per-group transpose of the
-/// rails' sparse shift columns (each row ascending by rail index, as
-/// the group walk visits them). Immutable once built.
-#[derive(Clone, Debug)]
-pub struct ProbeCtx<'b> {
-    base: &'b Evaluation,
-    t_in_max: u64,
-    t_in_argmax: usize,
-    t_in_second: u64,
-    used_sum: u64,
-    rows: Vec<Vec<(usize, u64)>>,
-    /// Per-group `(max, argmax, second-max, second-argmax)` over the
-    /// transpose row, with the same first-strict-maximum tie-break as
-    /// the row scan in [`patched_row`]: `argmax` is the lowest rail
-    /// index holding `max`, `second` the maximum over the remaining
-    /// rails. Lets [`Evaluator::swap_t_si`] decide "did this group's
-    /// time or bottleneck change?" in O(1) without rebuilding the row.
-    tops: Vec<(u64, usize, u64, usize)>,
+/// `time_used(r) = time_in(r) + time_si(r)` of one component, widened
+/// so a sum over rails is exact and can be patched by subtraction.
+fn used_of(comp: &RailEval) -> u128 {
+    u128::from(comp.t_in.saturating_add(comp.si_sum))
 }
 
-impl ProbeCtx<'_> {
-    /// The base evaluation the context was built over.
-    pub fn base(&self) -> &Evaluation {
-        self.base
-    }
-}
-
-/// Owned, patchable probe state: the reductions a [`ProbeCtx`]
-/// precomputes plus the group-times vector and makespan, all mutable,
-/// so a *sequence* of speculative width swaps — the mergeTAMs nested
-/// wire redistribution — can accept steps in place without
-/// materializing an [`Evaluation`] per step.
+/// The single delta primitive of the evaluator: the reductions of one
+/// architecture's per-rail components, patchable in place.
 ///
-/// Rail indices keep the labels of the evaluation the state was seeded
-/// from: a rail removed by [`Evaluator::swap_state_merged`] leaves a
-/// `None` hole so every surviving rail keeps its label. The quantities
-/// read out of the state (`T_soc^in`, `T_soc^si`) are label-invariant —
-/// the scheduler consumes only group times and rail *sharing*, which
-/// any relabeling preserves — so costs computed here are bit-identical
-/// to those of the compacted candidate rail list the optimizer would
-/// otherwise materialize.
+/// A state is seeded once from an [`Evaluation`]
+/// ([`Evaluator::swap_state`]). [`Evaluator::swap_cost`] prices
+/// replacing one rail's component without touching the state, so many
+/// concurrent probes may share it; [`Evaluator::swap_apply`] accepts
+/// any number of replacements in place, and [`Evaluator::readout`]
+/// materializes the [`Evaluation`] — bit-identical to
+/// [`Evaluator::evaluate`] on the state's rails.
+///
+/// Rails are addressed by *label*. A component may be removed, which
+/// leaves a hole so every other rail keeps its label, and a label past
+/// the end appends a rail; a merge removes both partners and appends
+/// the merged rail. The rails in label order, holes skipped, are the
+/// architecture the state describes. The quantities read out of the
+/// state are invariant under any relabeling — the scheduler consumes
+/// only group times and rail *sharing*, and the bottleneck tie-break
+/// follows label order, which skipping holes preserves.
 #[derive(Clone, Debug)]
 pub struct SwapState {
     comps: Vec<Option<Arc<RailEval>>>,
+    /// Top-two reduction of the live components' InTest times (so the
+    /// maximum excluding any one rail is O(1)), with the first
+    /// strict maximum as argmax.
     t_in_max: u64,
     t_in_argmax: usize,
     t_in_second: u64,
+    /// Exact `Σ time_used` over the live components.
+    used_sum: u128,
+    /// Per-group transpose of the components' sparse shift columns,
+    /// each row ascending by label.
     rows: Vec<Vec<(usize, u64)>>,
+    /// Per-group `(max, argmax, second-max, second-argmax)` over the
+    /// transpose row, with the first-strict-maximum tie-break of the
+    /// row scan: lets [`Evaluator::swap_cost`] decide "did this group's
+    /// time or bottleneck change?" in O(1) without rebuilding the row.
     tops: Vec<(u64, usize, u64, usize)>,
     group_times: Vec<SiGroupTime>,
     t_si: u64,
@@ -370,14 +363,46 @@ impl SwapState {
         self.t_si
     }
 
-    /// The current component of rail `i`, or `None` for a removed rail.
-    pub fn component(&self, i: usize) -> Option<&RailEval> {
-        self.comps[i].as_deref()
+    /// The cost summary of the state's architecture.
+    pub fn cost(&self) -> DeltaCost {
+        DeltaCost {
+            t_in: self.t_in_max,
+            t_si: self.t_si,
+            rail_used_sum: saturate(self.used_sum),
+        }
     }
 
-    /// Rebuilds the top-two InTest reduction after a component change,
-    /// with the same first-strict-maximum argmax tie-break as
-    /// [`Evaluator::probe_ctx`]'s scan.
+    /// The number of labels, holes included.
+    pub(crate) fn len(&self) -> usize {
+        self.comps.len()
+    }
+
+    /// The current component of rail `i`, or `None` for a hole.
+    pub fn component(&self, i: usize) -> Option<&RailEval> {
+        self.comps.get(i).and_then(Option::as_deref)
+    }
+
+    /// The rails whose time bounds the objective, ascending by label:
+    /// every rail achieving `T_soc^in`, plus — when `with_si` — the
+    /// bottleneck rail of every SI group.
+    pub(crate) fn bottlenecks(&self, with_si: bool) -> Vec<usize> {
+        let mut set = std::collections::BTreeSet::new();
+        for (r, comp) in self.comps.iter().enumerate() {
+            if comp.as_ref().is_some_and(|c| c.t_in == self.t_in_max) {
+                set.insert(r);
+            }
+        }
+        if with_si {
+            for group in &self.group_times {
+                if group.bottleneck_rail != usize::MAX {
+                    set.insert(group.bottleneck_rail);
+                }
+            }
+        }
+        set.into_iter().collect()
+    }
+
+    /// Rebuilds the top-two InTest reduction after a component change.
     fn recompute_t_in(&mut self) {
         let (mut max, mut argmax, mut second) = (0u64, usize::MAX, 0u64);
         for (r, comp) in self.comps.iter().enumerate() {
@@ -396,9 +421,14 @@ impl SwapState {
     }
 }
 
+/// The one saturating reading of an exact `Σ time_used`.
+fn saturate(sum: u128) -> u64 {
+    u64::try_from(sum).unwrap_or(u64::MAX)
+}
+
 /// One pass over a transpose row: its top-two reduction and its
 /// [`SiGroupTime`], both with the first-strict-maximum tie-break of
-/// [`patched_row`] and [`Evaluator::probe_ctx`].
+/// [`Evaluator::group_times_of`].
 fn row_reduction(row: &[(usize, u64)]) -> ((u64, usize, u64, usize), SiGroupTime) {
     let (mut m1, mut r1, mut m2, mut r2) = (0u64, usize::MAX, 0u64, usize::MAX);
     let mut rails = Vec::with_capacity(row.len());
@@ -423,34 +453,85 @@ fn row_reduction(row: &[(usize, u64)]) -> ((u64, usize, u64, usize), SiGroupTime
 
 /// Rebuilds one group's [`SiGroupTime`] row from its transpose row with
 /// rail `i`'s cycles replaced by `new_c` (`None` removes the rail from
-/// the group). Rails stay in ascending index order and the bottleneck
-/// keeps the first-strict-maximum tie-break, matching
-/// [`Evaluator::group_times_of`] exactly.
+/// the group).
 fn patched_row(row: &[(usize, u64)], i: usize, new_c: Option<u64>) -> SiGroupTime {
     let mut entries: Vec<(usize, u64)> = Vec::with_capacity(row.len() + 1);
-    for &(r, cycles) in row {
-        if r != i {
-            entries.push((r, cycles));
-        }
-    }
+    entries.extend(row.iter().copied().filter(|&(r, _)| r != i));
     if let Some(cycles) = new_c {
         let pos = entries.partition_point(|&(r, _)| r < i);
         entries.insert(pos, (i, cycles));
     }
-    let mut rails = Vec::with_capacity(entries.len());
-    let (mut best_rail, mut best_time) = (usize::MAX, 0u64);
-    for &(r, cycles) in &entries {
-        if cycles > best_time {
-            best_time = cycles;
-            best_rail = r;
+    row_reduction(&entries).1
+}
+
+/// The group rows that differ from `st`'s after replacing rail `i`'s
+/// sparse column `old_col` with `new_col`, ascending by group index;
+/// empty means every row — and therefore the schedule — is unchanged.
+/// Rows whose cycles change but whose time, membership and bottleneck
+/// do not are *not* reported: the patched [`SiGroupTime`] would equal
+/// the current one bit for bit.
+fn changed_rows_for(
+    st: &SwapState,
+    i: usize,
+    old_col: &[(u32, u64)],
+    new_col: &[(u32, u64)],
+) -> Vec<(usize, SiGroupTime)> {
+    let mut changed_rows: Vec<(usize, SiGroupTime)> = Vec::new();
+    let (mut a, mut b) = (0usize, 0usize);
+    while a < old_col.len() || b < new_col.len() {
+        let ga = old_col.get(a).map(|&(g, _)| g);
+        let gb = new_col.get(b).map(|&(g, _)| g);
+        let (g, old_c, new_c) = match (ga, gb) {
+            (Some(x), Some(y)) if x == y => {
+                let pair = (x, Some(old_col[a].1), Some(new_col[b].1));
+                a += 1;
+                b += 1;
+                pair
+            }
+            (Some(x), gy) if gy.map_or(true, |y| x < y) => {
+                let pair = (x, Some(old_col[a].1), None);
+                a += 1;
+                pair
+            }
+            (_, Some(y)) => {
+                let pair = (y, None, Some(new_col[b].1));
+                b += 1;
+                pair
+            }
+            // Both cursors dead contradicts the loop condition, and
+            // the second arm's guard caught a live `a` with a dead
+            // `b` — only the checker can reach this arm.
+            (_, None) => break,
+        };
+        if old_c == new_c {
+            continue;
         }
-        rails.push(r);
+        let g = g as usize;
+        if let (Some(_), Some(new_cycles)) = (old_c, new_c) {
+            // Membership unchanged: the patched row keeps the current
+            // rail list, and its time/bottleneck follow in O(1) from
+            // the top-two (max excluding rail `i`, then the candidate
+            // cycles; ties resolve to the lowest label, matching the
+            // row scan's first-strict-maximum).
+            let (m1, r1, m2, r2) = st.tops[g];
+            let (excl_max, excl_arg) = if r1 == i { (m2, r2) } else { (m1, r1) };
+            let (time, bottleneck) = if new_cycles > excl_max {
+                (new_cycles, i)
+            } else if new_cycles == excl_max {
+                (excl_max, excl_arg.min(i))
+            } else {
+                (excl_max, excl_arg)
+            };
+            let bg = &st.group_times[g];
+            if time == bg.time && bottleneck == bg.bottleneck_rail {
+                continue;
+            }
+        }
+        // Otherwise rail i enters or leaves the group, or the row's
+        // time or bottleneck moves: rebuild it.
+        changed_rows.push((g, patched_row(&st.rows[g], i, new_c)));
     }
-    SiGroupTime {
-        time: best_time,
-        rails,
-        bottleneck_rail: best_rail,
-    }
+    changed_rows
 }
 
 impl Evaluation {
@@ -639,7 +720,7 @@ impl<'a> Evaluator<'a> {
     /// [`Evaluator::evaluate_cached`] on a bare rail list (the
     /// optimizer's candidate representation — no architecture needs to
     /// be constructed to probe the cache).
-    pub fn evaluate_rails_cached(&self, rails: &[TestRail]) -> Arc<Evaluation> {
+    pub(crate) fn evaluate_rails_cached(&self, rails: &[TestRail]) -> Arc<Evaluation> {
         let key = self.cache_key(SPACE_ARCH, arch_fingerprint(rails));
         if let Some(Cached::Arch(eval)) = self.cache.get(&key) {
             if let Some(m) = &self.metrics {
@@ -654,674 +735,140 @@ impl<'a> Evaluator<'a> {
         self.insert_arch(key, eval)
     }
 
-    /// Delta evaluation: evaluates `rails` reusing `base`'s per-rail
-    /// components for every index not listed in `changed`, and `base`'s
-    /// Algorithm 1 schedule when no group's rail set or time changed.
-    /// The result is bit-identical to [`Evaluator::evaluate`] on the
-    /// same rails.
-    ///
-    /// `rails[i]` must equal the rail `base` was evaluated on for every
-    /// `i` not in `changed` (checked in debug builds); indices ≥
-    /// `base`'s rail count are always evaluated fresh, so candidates
-    /// may drop or append rails.
-    pub fn evaluate_from(
-        &self,
-        base: &Evaluation,
-        changed: &[usize],
-        rails: &[TestRail],
-    ) -> Evaluation {
-        let rail_evals = self.delta_components(base, changed, rails);
-        self.assemble(rail_evals, Some(base))
-    }
-
-    /// The cost of `rails` as a delta against `base` — the fast path
-    /// for speculative candidates, which only need numbers, not a full
-    /// [`Evaluation`]. Same reuse contract as
-    /// [`Evaluator::evaluate_from`].
-    pub fn cost_from(&self, base: &Evaluation, changed: &[usize], rails: &[TestRail]) -> DeltaCost {
-        let rail_evals = self.delta_components(base, changed, rails);
-        self.cost_of_components(&rail_evals, base)
-    }
-
-    /// Per-rail components for a delta against `base`: reused where the
-    /// rail is unchanged, served from the rail cache otherwise.
-    fn delta_components(
-        &self,
-        base: &Evaluation,
-        changed: &[usize],
-        rails: &[TestRail],
-    ) -> Vec<Arc<RailEval>> {
-        rails
-            .iter()
-            .enumerate()
-            .map(|(i, rail)| {
-                if !changed.contains(&i) && i < base.rail_evals.len() {
-                    let reused = &base.rail_evals[i];
-                    debug_assert_eq!(
-                        (reused.width, reused.cores_fp),
-                        (rail.width(), fx_fingerprint128(&rail.cores())),
-                        "rail {i} differs from the base but is not listed as changed"
-                    );
-                    if let Some(m) = &self.metrics {
-                        m.count_rail_eval_hit();
-                    }
-                    Arc::clone(reused)
-                } else {
-                    self.rail_eval_cached(rail.width(), rail.cores())
-                }
-            })
-            .collect()
-    }
-
-    /// Delta evaluation with explicit provenance, for candidates that
-    /// *reorder* rails (the mergeTAMs sweep removes two rails and
-    /// appends their merge, shifting every later index): components are
-    /// position-independent, so `source[j] = Some(i)` reuses `base`'s
-    /// component `i` for the new rail `j` wherever the caller knows
-    /// `rails[j]` equals the rail `base` was evaluated on at index `i`
-    /// (checked in debug builds). `None` entries evaluate fresh (via
-    /// the rail cache). Bit-identical to [`Evaluator::evaluate`].
-    pub fn evaluate_from_mapped(
-        &self,
-        base: &Evaluation,
-        source: &[Option<usize>],
-        rails: &[TestRail],
-    ) -> Evaluation {
-        let rail_evals = self.delta_components_mapped(base, source, rails);
-        self.assemble(rail_evals, Some(base))
-    }
-
-    /// The cost of `rails` as a delta against `base` with explicit
-    /// provenance — [`Evaluator::cost_from`] for candidates that
-    /// reorder rails. Same reuse contract as
-    /// [`Evaluator::evaluate_from_mapped`].
-    pub fn cost_from_mapped(
-        &self,
-        base: &Evaluation,
-        source: &[Option<usize>],
-        rails: &[TestRail],
-    ) -> DeltaCost {
-        let rail_evals = self.delta_components_mapped(base, source, rails);
-        self.cost_of_components(&rail_evals, base)
-    }
-
-    /// Per-rail components for a provenance-mapped delta against `base`.
-    fn delta_components_mapped(
-        &self,
-        base: &Evaluation,
-        source: &[Option<usize>],
-        rails: &[TestRail],
-    ) -> Vec<Arc<RailEval>> {
-        debug_assert_eq!(source.len(), rails.len());
-        rails
-            .iter()
-            .zip(source)
-            .map(|(rail, src)| match src {
-                Some(i) if *i < base.rail_evals.len() => {
-                    let reused = &base.rail_evals[*i];
-                    debug_assert_eq!(
-                        (reused.width, reused.cores_fp),
-                        (rail.width(), fx_fingerprint128(&rail.cores())),
-                        "mapped source {i} does not match the candidate rail"
-                    );
-                    if let Some(m) = &self.metrics {
-                        m.count_rail_eval_hit();
-                    }
-                    Arc::clone(reused)
-                }
-                _ => self.rail_eval_cached(rail.width(), rail.cores()),
-            })
-            .collect()
-    }
-
-    /// Precomputed reduction state for repeated width-only probes
-    /// against one base evaluation (see [`Evaluator::cost_swap`]).
-    /// Read-only once built, so one context can serve many concurrent
-    /// speculative probes.
-    pub fn probe_ctx<'b>(&self, base: &'b Evaluation) -> ProbeCtx<'b> {
+    /// Seeds a [`SwapState`] from `base`: its components under labels
+    /// `0..n`, their reductions, and its makespan.
+    pub fn swap_state(&self, base: &Evaluation) -> SwapState {
         debug_assert_eq!(base.group_times.len(), self.groups.len());
-        let (mut t_in_max, mut t_in_argmax, mut t_in_second) = (0u64, usize::MAX, 0u64);
-        for (r, &t) in base.rail_time_in.iter().enumerate() {
-            if t > t_in_max {
-                t_in_second = t_in_max;
-                t_in_max = t;
-                t_in_argmax = r;
-            } else if t > t_in_second {
-                t_in_second = t;
-            }
-        }
-        // Matches `cost_of_components`'s plain sum in release builds;
-        // wrapping accumulation only diverges where the plain sum would
-        // abort a debug build on degenerate inputs.
-        let mut used_sum = 0u64;
-        for (t_in, t_si) in base.rail_time_in.iter().zip(&base.rail_time_si) {
-            used_sum = used_sum.wrapping_add(t_in.saturating_add(*t_si));
-        }
         let mut rows: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.groups.len()];
+        let mut used_sum = 0u128;
         for (r, comp) in base.rail_evals.iter().enumerate() {
+            used_sum += used_of(comp);
             for &(g, cycles) in &comp.group_shift {
                 rows[g as usize].push((r, cycles));
             }
         }
-        let tops = rows
-            .iter()
-            .map(|row| {
-                let (mut m1, mut r1, mut m2, mut r2) = (0u64, usize::MAX, 0u64, usize::MAX);
-                for &(r, cycles) in row {
-                    if cycles > m1 {
-                        (m2, r2) = (m1, r1);
-                        (m1, r1) = (cycles, r);
-                    } else if cycles > m2 {
-                        (m2, r2) = (cycles, r);
-                    }
-                }
-                (m1, r1, m2, r2)
-            })
-            .collect();
-        ProbeCtx {
-            base,
-            t_in_max,
-            t_in_argmax,
-            t_in_second,
+        let (tops, group_times) = rows.iter().map(|row| row_reduction(row)).unzip();
+        let mut st = SwapState {
+            comps: base.rail_evals.iter().cloned().map(Some).collect(),
+            t_in_max: 0,
+            t_in_argmax: usize::MAX,
+            t_in_second: 0,
             used_sum,
             rows,
             tops,
-        }
-    }
-
-    /// The cost of swapping rail `i` of `ctx`'s base to `width` —
-    /// bit-identical to [`Evaluator::cost_from`] with `changed = [i]`
-    /// and the base rail list with rail `i` rebuilt at `width`, but in
-    /// ~O(groups touched by rail i) with no rail clone and no per-rail
-    /// `Arc` traffic. This is the optimizer's innermost probe: the
-    /// rail component comes from the cache via the base component's
-    /// precomputed core fingerprint, `T_soc^in` from the context's
-    /// top-two reduction, and the schedule is reused whenever rail
-    /// `i`'s patched group rows match the base's (the common case on
-    /// width plateaus).
-    ///
-    /// `cores` must be rail `i`'s core list (checked in debug builds) —
-    /// it is only consulted to compute the component on a cache miss.
-    pub fn cost_swap(
-        &self,
-        ctx: &ProbeCtx<'_>,
-        i: usize,
-        cores: &[CoreId],
-        width: u32,
-    ) -> DeltaCost {
-        let comp = self.swap_component(ctx.base, i, cores, width);
-        self.cost_swap_with(ctx, i, &comp)
-    }
-
-    /// The memoized rail component for swapping rail `i` of `base` to
-    /// `width`, fetched via the base component's precomputed core
-    /// fingerprint. Callers that probe the same `(rail, width)` pair
-    /// many times against one base (the optimizer's wire-distribution
-    /// loop) fetch the component once and feed it to
-    /// [`Evaluator::cost_swap_with`] per probe, keeping all cache
-    /// traffic out of the probe batch.
-    ///
-    /// `cores` must be rail `i`'s core list (checked in debug builds) —
-    /// it is only consulted to compute the component on a cache miss.
-    pub fn swap_component(
-        &self,
-        base: &Evaluation,
-        i: usize,
-        cores: &[CoreId],
-        width: u32,
-    ) -> Arc<RailEval> {
-        let old = &base.rail_evals[i];
-        debug_assert_eq!(
-            old.cores_fp,
-            fx_fingerprint128(&cores),
-            "cost_swap changes rail {i}'s width only; cores must match the base rail"
-        );
-        self.rail_eval_cached_fp(width, old.cores_fp, cores)
-    }
-
-    /// The pure-math half of [`Evaluator::cost_swap`]: scores replacing
-    /// rail `i`'s component with `comp` (any width, same cores) against
-    /// the context's precomputed reductions. No cache lookups, no
-    /// allocation on the schedule-reuse path.
-    pub fn cost_swap_with(&self, ctx: &ProbeCtx<'_>, i: usize, comp: &RailEval) -> DeltaCost {
-        let base = ctx.base;
-        let old = &base.rail_evals[i];
-        debug_assert_eq!(
-            old.cores_fp, comp.cores_fp,
-            "cost_swap changes rail {i}'s width only; cores must match the base rail"
-        );
-
-        let others_max = if ctx.t_in_argmax == i {
-            ctx.t_in_second
-        } else {
-            ctx.t_in_max
-        };
-        let t_in = comp.t_in.max(others_max);
-
-        // Rail i's utilized SI time: the component's precomputed column
-        // sum accumulates per group in ascending order, exactly as
-        // `cost_of_components` folds its column.
-        let new_si = comp.si_sum;
-        let old_used = base.rail_time_in[i].saturating_add(base.rail_time_si[i]);
-        let rail_used_sum = ctx
-            .used_sum
-            .wrapping_sub(old_used)
-            .wrapping_add(comp.t_in.saturating_add(new_si));
-
-        let t_si = if old.group_shift == comp.group_shift {
-            // The swap changed no group column (a width plateau): every
-            // group row — and therefore the schedule — is the base's.
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-            base.t_si
-        } else {
-            self.swap_t_si(ctx, i, &old.group_shift, &comp.group_shift)
-        };
-        DeltaCost {
-            t_in,
-            t_si,
-            rail_used_sum,
-        }
-    }
-
-    /// `T_soc^si` after swapping rail `i`'s sparse group column from
-    /// `old_col` to `new_col`: walks the union of the two columns,
-    /// recomputes only the group rows whose cycles for rail `i`
-    /// actually changed, and reuses the base schedule when every
-    /// patched row still equals the base's.
-    fn swap_t_si(
-        &self,
-        ctx: &ProbeCtx<'_>,
-        i: usize,
-        old_col: &[(u32, u64)],
-        new_col: &[(u32, u64)],
-    ) -> u64 {
-        let base = ctx.base;
-        let changed_rows = self.swap_changed_rows(ctx, i, old_col, new_col);
-        if changed_rows.is_empty() {
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-            base.t_si
-        } else {
-            self.makespan_patched(&base.group_times, &changed_rows)
-        }
-    }
-
-    /// The group rows that actually differ from `ctx`'s base after
-    /// swapping rail `i`'s sparse column from `old_col` to `new_col`,
-    /// ascending by group index; empty means every row — and therefore
-    /// the schedule — is the base's. Rows whose cycles change but whose
-    /// time, membership and bottleneck do not are *not* reported: the
-    /// patched [`SiGroupTime`] would equal the base's bit for bit.
-    fn swap_changed_rows(
-        &self,
-        ctx: &ProbeCtx<'_>,
-        i: usize,
-        old_col: &[(u32, u64)],
-        new_col: &[(u32, u64)],
-    ) -> Vec<(usize, SiGroupTime)> {
-        changed_rows_for(
-            &ctx.rows,
-            &ctx.tops,
-            &ctx.base.group_times,
-            i,
-            old_col,
-            new_col,
-        )
-    }
-}
-
-/// [`Evaluator::swap_changed_rows`] generalized over any reduction
-/// triple — a [`ProbeCtx`]'s borrowed state or a [`SwapState`]'s owned
-/// one: `rows` is the per-group transpose, `tops` its top-two
-/// reduction, `group_times` the matching [`SiGroupTime`] vector.
-fn changed_rows_for(
-    rows: &[Vec<(usize, u64)>],
-    tops: &[(u64, usize, u64, usize)],
-    group_times: &[SiGroupTime],
-    i: usize,
-    old_col: &[(u32, u64)],
-    new_col: &[(u32, u64)],
-) -> Vec<(usize, SiGroupTime)> {
-    {
-        let mut changed_rows: Vec<(usize, SiGroupTime)> = Vec::new();
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < old_col.len() || b < new_col.len() {
-            let ga = old_col.get(a).map(|&(g, _)| g);
-            let gb = new_col.get(b).map(|&(g, _)| g);
-            let (g, old_c, new_c) = match (ga, gb) {
-                (Some(x), Some(y)) if x == y => {
-                    let pair = (x, Some(old_col[a].1), Some(new_col[b].1));
-                    a += 1;
-                    b += 1;
-                    pair
-                }
-                (Some(x), gy) if gy.map_or(true, |y| x < y) => {
-                    let pair = (x, Some(old_col[a].1), None);
-                    a += 1;
-                    pair
-                }
-                (_, Some(y)) => {
-                    let pair = (y, None, Some(new_col[b].1));
-                    b += 1;
-                    pair
-                }
-                // Both cursors dead contradicts the loop condition, and
-                // the second arm's guard caught a live `a` with a dead
-                // `b` — only the checker can reach this arm.
-                (_, None) => break,
-            };
-            if old_c == new_c {
-                continue;
-            }
-            let g = g as usize;
-            if let (Some(_), Some(new_cycles)) = (old_c, new_c) {
-                // Membership unchanged: the patched row keeps the base's
-                // rail list, and its time/bottleneck follow in O(1) from
-                // the precomputed top-two (max excluding rail `i`, then
-                // the candidate cycles; ties resolve to the lowest rail
-                // index, matching the row scan's first-strict-maximum).
-                let (m1, r1, m2, r2) = tops[g];
-                let (excl_max, excl_arg) = if r1 == i { (m2, r2) } else { (m1, r1) };
-                let (time, bottleneck) = if new_cycles > excl_max {
-                    (new_cycles, i)
-                } else if new_cycles == excl_max {
-                    (excl_max, excl_arg.min(i))
-                } else {
-                    (excl_max, excl_arg)
-                };
-                let bg = &group_times[g];
-                if time == bg.time && bottleneck == bg.bottleneck_rail {
-                    // Patched row equals the base row exactly — writing
-                    // it back would be a no-op, so skip the rebuild.
-                    continue;
-                }
-                changed_rows.push((g, patched_row(&rows[g], i, new_c)));
-            } else {
-                // Rail i enters or leaves the group: the rail list —
-                // and therefore the row — always changes.
-                changed_rows.push((g, patched_row(&rows[g], i, new_c)));
-            }
-        }
-        changed_rows
-    }
-}
-
-impl<'a> Evaluator<'a> {
-    /// Materializes the evaluation of swapping rail `i` of `ctx`'s base
-    /// to `comp` — the accept half of a probed width swap, bit-identical
-    /// to [`Evaluator::evaluate_from`] with `changed = [i]` on the
-    /// swapped rail list, but assembled by patching the base's vectors
-    /// instead of re-reducing every component.
-    pub fn evaluate_swap_with(
-        &self,
-        ctx: &ProbeCtx<'_>,
-        i: usize,
-        comp: Arc<RailEval>,
-    ) -> Evaluation {
-        let base = ctx.base;
-        let old = &base.rail_evals[i];
-        debug_assert_eq!(
-            old.cores_fp, comp.cores_fp,
-            "evaluate_swap_with changes rail {i}'s width only; cores must match the base rail"
-        );
-
-        let others_max = if ctx.t_in_argmax == i {
-            ctx.t_in_second
-        } else {
-            ctx.t_in_max
-        };
-        let t_in = comp.t_in.max(others_max);
-
-        let mut rail_time_in = base.rail_time_in.clone();
-        rail_time_in[i] = comp.t_in;
-        // Other rails' utilized SI times depend only on their own
-        // columns, which the swap leaves untouched.
-        let mut rail_time_si = base.rail_time_si.clone();
-        rail_time_si[i] = comp.si_sum;
-
-        let changed_rows = self.swap_changed_rows(ctx, i, &old.group_shift, &comp.group_shift);
-        let mut group_times = base.group_times.clone();
-        let schedule = if changed_rows.is_empty() {
-            // Same reuse condition — and the same metrics event — as
-            // `assemble` comparing the full group-times vectors.
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-            Arc::clone(&base.schedule)
-        } else {
-            for (g, row) in changed_rows {
-                group_times[g] = row;
-            }
-            self.schedule_cached(&group_times)
-        };
-        let t_si = schedule.makespan();
-
-        let mut rail_evals = base.rail_evals.clone();
-        rail_evals[i] = comp;
-        Evaluation {
-            rail_time_in,
-            rail_time_si,
             group_times,
-            schedule,
-            t_in,
-            t_si,
-            rail_evals,
-        }
-    }
-
-    /// Seeds an owned [`SwapState`] from `base`: the same reductions as
-    /// [`Evaluator::probe_ctx`], detached from the base's lifetime and
-    /// patchable.
-    pub fn swap_state(&self, base: &Evaluation) -> SwapState {
-        let ProbeCtx {
-            t_in_max,
-            t_in_argmax,
-            t_in_second,
-            rows,
-            tops,
-            ..
-        } = self.probe_ctx(base);
-        SwapState {
-            comps: base
-                .rail_evals
-                .iter()
-                .map(|c| Some(Arc::clone(c)))
-                .collect(),
-            t_in_max,
-            t_in_argmax,
-            t_in_second,
-            rows,
-            tops,
-            group_times: base.group_times.clone(),
             t_si: base.t_si,
-        }
-    }
-
-    /// Derives the state of merging rail `dead` into rail `target`:
-    /// rail `dead` is removed (its label left as a hole) and `target`'s
-    /// component replaced by `merged` — the merged rail keeps `target`'s
-    /// label. `T_soc^si` and every patched reduction are bit-identical
-    /// to evaluating the compacted candidate rail list, because all of
-    /// them are invariant under the relabeling (see [`SwapState`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` or `dead` is not a live rail of `parent`.
-    #[allow(clippy::expect_used)]
-    pub fn swap_state_merged(
-        &self,
-        parent: &SwapState,
-        target: usize,
-        dead: usize,
-        merged: Arc<RailEval>,
-    ) -> SwapState {
-        let mut st = parent.clone();
-        let old_target = st.comps[target].take().expect("target rail is live");
-        let old_dead = st.comps[dead].take().expect("dead rail is live");
-        // Groups whose rows the merge touches: any group appearing in
-        // the replaced, removed, or merged columns.
-        let mut affected: Vec<usize> = Vec::new();
-        for col in [
-            &old_target.group_shift,
-            &old_dead.group_shift,
-            &merged.group_shift,
-        ] {
-            affected.extend(col.iter().map(|&(g, _)| g as usize));
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        let mut changed: Vec<(usize, SiGroupTime)> = Vec::new();
-        let mut cursor = 0usize;
-        for &g in &affected {
-            while cursor < merged.group_shift.len() && (merged.group_shift[cursor].0 as usize) < g {
-                cursor += 1;
-            }
-            let merged_c = (cursor < merged.group_shift.len()
-                && merged.group_shift[cursor].0 as usize == g)
-                .then(|| merged.group_shift[cursor].1);
-            let row = &mut st.rows[g];
-            row.retain(|&(r, _)| r != target && r != dead);
-            if let Some(cycles) = merged_c {
-                let pos = row.partition_point(|&(r, _)| r < target);
-                row.insert(pos, (target, cycles));
-            }
-            let (tops, row_time) = row_reduction(row);
-            st.tops[g] = tops;
-            if row_time != st.group_times[g] {
-                changed.push((g, row_time));
-            }
-        }
-        if changed.is_empty() {
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-        } else {
-            st.t_si = self.makespan_patched(&st.group_times, &changed);
-            for (g, row) in changed {
-                st.group_times[g] = row;
-            }
-        }
-        st.comps[target] = Some(merged);
+        };
         st.recompute_t_in();
         st
     }
 
-    /// The `(T_soc^in, T_soc^si)` of swapping live rail `i` of `st` to
-    /// `comp` — [`Evaluator::cost_swap_with`] against an owned state.
-    /// Read-only: many concurrent probes may share one state.
+    /// The cost of replacing live rail `i`'s component with `comp` —
+    /// bit-identical to [`SwapState::cost`] after the same swap is
+    /// applied, but read-only, in ~O(groups touched by rail i): `T_soc^in`
+    /// comes from the top-two reduction, and the makespan is reused
+    /// whenever rail `i`'s patched group rows match the current ones
+    /// (the common case on width plateaus).
     ///
     /// # Panics
     ///
-    /// Panics if rail `i` is not live in `st`.
+    /// Panics if rail `i` is a hole.
     #[allow(clippy::expect_used)]
-    pub fn state_cost_swap(&self, st: &SwapState, i: usize, comp: &RailEval) -> (u64, u64) {
+    pub fn swap_cost(&self, st: &SwapState, i: usize, comp: &RailEval) -> DeltaCost {
         let old = st.comps[i].as_deref().expect("swapped rail is live");
-        debug_assert_eq!(
-            old.cores_fp, comp.cores_fp,
-            "state_cost_swap changes rail {i}'s width only; cores must match"
-        );
         let others_max = if st.t_in_argmax == i {
             st.t_in_second
         } else {
             st.t_in_max
         };
-        let t_in = comp.t_in.max(others_max);
-        let t_si = if old.group_shift == comp.group_shift {
+        let changed = if old.group_shift == comp.group_shift {
+            Vec::new()
+        } else {
+            changed_rows_for(st, i, &old.group_shift, &comp.group_shift)
+        };
+        let t_si = if changed.is_empty() {
             if let Some(m) = &self.metrics {
                 m.count_schedule_reuse();
             }
             st.t_si
         } else {
-            let changed = changed_rows_for(
-                &st.rows,
-                &st.tops,
-                &st.group_times,
-                i,
-                &old.group_shift,
-                &comp.group_shift,
-            );
-            if changed.is_empty() {
-                if let Some(m) = &self.metrics {
-                    m.count_schedule_reuse();
-                }
-                st.t_si
-            } else {
-                self.makespan_patched(&st.group_times, &changed)
-            }
+            self.makespan_patched(&st.group_times, &changed)
         };
-        (t_in, t_si)
+        DeltaCost {
+            t_in: comp.t_in.max(others_max),
+            t_si,
+            rail_used_sum: saturate(st.used_sum - used_of(old) + used_of(comp)),
+        }
     }
 
-    /// Accepts a probed width swap on `st`: replaces live rail `i`'s
-    /// component with `comp` and patches every reduction in place. The
-    /// resulting `T_soc^si` equals [`Evaluator::state_cost_swap`]'s for
-    /// the same swap (the change detection is shared).
-    ///
-    /// # Panics
-    ///
-    /// Panics if rail `i` is not live in `st`.
-    #[allow(clippy::expect_used)]
-    pub fn state_apply_swap(&self, st: &mut SwapState, i: usize, comp: Arc<RailEval>) {
-        let old = st.comps[i].take().expect("swapped rail is live");
-        debug_assert_eq!(
-            old.cores_fp, comp.cores_fp,
-            "state_apply_swap changes rail {i}'s width only; cores must match"
+    /// Applies `swaps` to `st` in place: each `(label, component)`
+    /// replaces that rail's component, `None` removes it (leaving a
+    /// hole), and a label past the end appends a rail. Every group row
+    /// any old or new column touches is rebuilt once, and the makespan
+    /// is recomputed only when some group time actually changed. Each
+    /// label may appear at most once in `swaps`.
+    pub fn swap_apply(&self, st: &mut SwapState, swaps: &[(usize, Option<Arc<RailEval>>)]) {
+        debug_assert!(
+            swaps
+                .iter()
+                .enumerate()
+                .all(|(k, (i, _))| swaps[..k].iter().all(|(j, _)| j != i)),
+            "each label is swapped at most once"
         );
-        let (old_col, new_col) = (&old.group_shift, &comp.group_shift);
-        let mut changed: Vec<(usize, SiGroupTime)> = Vec::new();
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < old_col.len() || b < new_col.len() {
-            let ga = old_col.get(a).map(|&(g, _)| g);
-            let gb = new_col.get(b).map(|&(g, _)| g);
-            let (g, old_c, new_c) = match (ga, gb) {
-                (Some(x), Some(y)) if x == y => {
-                    let pair = (x, Some(old_col[a].1), Some(new_col[b].1));
-                    a += 1;
-                    b += 1;
-                    pair
-                }
-                (Some(x), gy) if gy.map_or(true, |y| x < y) => {
-                    let pair = (x, Some(old_col[a].1), None);
-                    a += 1;
-                    pair
-                }
-                _ => {
-                    let pair = (gb.expect("one cursor is live"), None, Some(new_col[b].1));
-                    b += 1;
-                    pair
-                }
-            };
-            if old_c == new_c {
-                continue;
+        let mut affected: Vec<u32> = Vec::new();
+        for (i, new) in swaps {
+            if *i >= st.comps.len() {
+                st.comps.resize(i + 1, None);
             }
-            let g = g as usize;
-            let row = &mut st.rows[g];
-            row.retain(|&(r, _)| r != i);
-            if let Some(cycles) = new_c {
-                let pos = row.partition_point(|&(r, _)| r < i);
-                row.insert(pos, (i, cycles));
+            for comp in [st.comps[*i].as_deref(), new.as_deref()]
+                .into_iter()
+                .flatten()
+            {
+                affected.extend(comp.group_shift.iter().map(|&(g, _)| g));
+            }
+        }
+        affected.sort_unstable();
+        affected.dedup();
+        let mut changed = false;
+        for g in affected {
+            let row = &mut st.rows[g as usize];
+            row.retain(|&(r, _)| swaps.iter().all(|(i, _)| *i != r));
+            for (i, new) in swaps {
+                let col = new.as_deref().map_or(&[][..], |c| &c.group_shift[..]);
+                if let Ok(k) = col.binary_search_by_key(&g, |&(cg, _)| cg) {
+                    let pos = row.partition_point(|&(r, _)| r < *i);
+                    row.insert(pos, (*i, col[k].1));
+                }
             }
             let (tops, row_time) = row_reduction(row);
-            st.tops[g] = tops;
-            if row_time != st.group_times[g] {
-                changed.push((g, row_time));
+            st.tops[g as usize] = tops;
+            if row_time != st.group_times[g as usize] {
+                st.group_times[g as usize] = row_time;
+                changed = true;
             }
         }
-        if changed.is_empty() {
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
+        for (i, new) in swaps {
+            if let Some(old) = &st.comps[*i] {
+                st.used_sum -= used_of(old);
             }
-        } else {
-            st.t_si = self.makespan_patched(&st.group_times, &changed);
-            for (g, row) in changed {
-                st.group_times[g] = row;
+            if let Some(comp) = new {
+                st.used_sum += used_of(comp);
             }
+            st.comps[*i] = new.clone();
         }
-        st.comps[i] = Some(comp);
         st.recompute_t_in();
+        if changed {
+            st.t_si = self.makespan_patched(&st.group_times, &[]);
+        } else if let Some(m) = &self.metrics {
+            m.count_schedule_reuse();
+        }
+    }
+
+    /// Materializes the state's [`Evaluation`]: its rails in label
+    /// order, holes skipped — bit-identical to [`Evaluator::evaluate`]
+    /// on that rail list.
+    pub fn readout(&self, st: &SwapState) -> Evaluation {
+        self.assemble(st.comps.iter().flatten().cloned().collect())
     }
 
     /// Publishes an assembled evaluation under `key`, returning the
@@ -1337,20 +884,13 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The memoized per-rail component for (`width`, `cores`). Crate
-    /// visibility lets the optimizer prefetch merged-rail components
-    /// (rails not present in any base evaluation) for its fused merge
-    /// probes.
+    /// The memoized per-rail component for (`width`, `cores`) — what
+    /// the optimizer swaps into a [`SwapState`].
     pub(crate) fn rail_eval_cached(&self, width: u32, cores: &[CoreId]) -> Arc<RailEval> {
-        self.rail_eval_cached_fp(width, fx_fingerprint128(&cores), cores)
-    }
-
-    /// [`Evaluator::rail_eval_cached`] with a precomputed core-list
-    /// fingerprint: the cache key hashes two words instead of the core
-    /// list, which is what makes [`Evaluator::cost_swap`] O(1) on the
-    /// (overwhelmingly common) cache-hit path.
-    fn rail_eval_cached_fp(&self, width: u32, cores_fp: u128, cores: &[CoreId]) -> Arc<RailEval> {
-        let key = self.cache_key(SPACE_RAIL, rail_fingerprint_fp(width, cores_fp));
+        let key = self.cache_key(
+            SPACE_RAIL,
+            rail_fingerprint_fp(width, fx_fingerprint128(&cores)),
+        );
         if let Some(Cached::Rail(rail_eval)) = self.cache.get(&key) {
             if let Some(m) = &self.metrics {
                 m.count_rail_eval_hit();
@@ -1423,27 +963,16 @@ impl<'a> Evaluator<'a> {
     /// Rails are visited in ascending index order within each group, so
     /// `SiGroupTime.rails` ordering and the first-strict-maximum
     /// bottleneck tie-break match the monolithic loop exactly. The
-    /// Algorithm 1 schedule is reused from `reuse` when the group times
-    /// are unchanged (the optimizer's common case: a move that touched
-    /// no group's bottleneck), otherwise served from the schedule cache
-    /// or recomputed.
-    fn assemble(&self, rail_evals: Vec<Arc<RailEval>>, reuse: Option<&Evaluation>) -> Evaluation {
+    /// Algorithm 1 schedule is served from the schedule cache or
+    /// recomputed.
+    fn assemble(&self, rail_evals: Vec<Arc<RailEval>>) -> Evaluation {
         let num_rails = rail_evals.len();
         let rail_time_in: Vec<u64> = rail_evals.iter().map(|r| r.t_in).collect();
         let t_in = rail_time_in.iter().copied().max().unwrap_or(0);
 
         let mut rail_time_si = vec![0u64; num_rails];
         let group_times = self.group_times_of(&rail_evals, &mut rail_time_si);
-
-        let schedule = match reuse {
-            Some(base) if base.group_times == group_times => {
-                if let Some(m) = &self.metrics {
-                    m.count_schedule_reuse();
-                }
-                Arc::clone(&base.schedule)
-            }
-            _ => self.schedule_cached(&group_times),
-        };
+        let schedule = self.schedule_cached(&group_times);
         let t_si = schedule.makespan();
         Evaluation {
             rail_time_in,
@@ -1498,108 +1027,15 @@ impl<'a> Evaluator<'a> {
         group_times
     }
 
-    /// Costs the rail components of a candidate without materializing a
-    /// full [`Evaluation`]: the group walk runs in lockstep against
-    /// `base.group_times`, and when every group matches — the
-    /// optimizer's common case — `base`'s makespan is reused without
-    /// allocating a single `SiGroupTime`. The returned numbers are
-    /// bit-identical to the corresponding fields of the assembled
-    /// evaluation.
-    fn cost_of_components(&self, rail_evals: &[Arc<RailEval>], base: &Evaluation) -> DeltaCost {
-        let num_rails = rail_evals.len();
-        let t_in = rail_evals.iter().map(|r| r.t_in).max().unwrap_or(0);
-
-        let mut rail_si = vec![0u64; num_rails];
-        let mut cursors = vec![0usize; num_rails];
-        let mut same = base.group_times.len() == self.groups.len();
-        for g in 0..self.groups.len() {
-            let base_group = base.group_times.get(g);
-            let (mut best_rail, mut best_time) = (usize::MAX, 0u64);
-            let mut pos = 0usize;
-            for (r, comp) in rail_evals.iter().enumerate() {
-                let column = &comp.group_shift;
-                // soctam-analyze: allow(ARITH-01) -- compares against a stored u32 group id; group count fits u32
-                if cursors[r] < column.len() && column[cursors[r]].0 == g as u32 {
-                    let cycles = column[cursors[r]].1;
-                    cursors[r] += 1;
-                    rail_si[r] = rail_si[r].saturating_add(cycles);
-                    if cycles > best_time {
-                        best_time = cycles;
-                        best_rail = r;
-                    }
-                    if same {
-                        match base_group {
-                            Some(bg) if bg.rails.get(pos) == Some(&r) => pos += 1,
-                            _ => same = false,
-                        }
-                    }
-                }
-            }
-            if same {
-                if let Some(bg) = base_group {
-                    if pos != bg.rails.len()
-                        || best_time != bg.time
-                        || best_rail != bg.bottleneck_rail
-                    {
-                        same = false;
-                    }
-                }
-            }
-        }
-
-        // Matches `Evaluation::rail_time_used().iter().sum()`: per-rail
-        // saturating add, then a plain (overflow-checked in debug) sum.
-        let rail_used_sum = rail_evals
-            .iter()
-            .zip(&rail_si)
-            .map(|(comp, &si)| comp.t_in.saturating_add(si))
-            .sum::<u64>();
-
-        let t_si = if same {
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-            base.t_si
-        } else {
-            let mut scratch_si = vec![0u64; num_rails];
-            let group_times = self.group_times_of(rail_evals, &mut scratch_si);
-            self.makespan_cached(&group_times)
-        };
-        DeltaCost {
-            t_in,
-            t_si,
-            rail_used_sum,
-        }
-    }
-
-    /// The Algorithm 1 makespan of `group_times`, served from the
-    /// schedule cache (a full schedule is already known), the makespan
-    /// cache, or the makespan-only scheduler — never materializing a
-    /// schedule on the candidate-costing path.
-    fn makespan_cached(&self, group_times: &[SiGroupTime]) -> u64 {
-        let fp = group_times_fp(group_times, &[]);
-        self.makespan_for_fp(fp, || group_times.to_vec())
-    }
-
-    /// [`Evaluator::makespan_cached`] over `base` with the sorted
-    /// `changed` rows substituted, without materializing the patched
-    /// vector on the (overwhelmingly common) cache-hit path: the key is
-    /// fingerprinted through the substitution, and the vector is only
-    /// built when the makespan actually needs recomputing.
+    /// The Algorithm 1 makespan of `base` with the sorted `changed`
+    /// rows substituted, served from the makespan cache, the schedule
+    /// cache (a full schedule is already known), or the makespan-only
+    /// scheduler — never materializing a schedule on the candidate-
+    /// costing path. The key is fingerprinted through the substitution,
+    /// so the patched vector is only built when the makespan actually
+    /// needs recomputing.
     fn makespan_patched(&self, base: &[SiGroupTime], changed: &[(usize, SiGroupTime)]) -> u64 {
         let fp = group_times_fp(base, changed);
-        self.makespan_for_fp(fp, || {
-            let mut group_times = base.to_vec();
-            for (g, row) in changed {
-                group_times[*g] = row.clone();
-            }
-            group_times
-        })
-    }
-
-    /// Cache core shared by the makespan paths: `fp` must be the
-    /// [`group_times_fp`] digest of exactly the vector `build` returns.
-    fn makespan_for_fp(&self, fp: u128, build: impl FnOnce() -> Vec<SiGroupTime>) -> u64 {
         // Probe the cost-only namespace first: repeated probes of the
         // same patched rows land there, so the hot path pays a single
         // shard lookup. The schedule namespace is only consulted on a
@@ -1618,7 +1054,11 @@ impl<'a> Evaluator<'a> {
             }
             return schedule.makespan();
         }
-        let makespan = crate::schedule::si_makespan(&build());
+        let mut group_times = base.to_vec();
+        for (g, row) in changed {
+            group_times[*g] = row.clone();
+        }
+        let makespan = crate::schedule::si_makespan(&group_times);
         self.cache
             .get_or_insert_with(key, || Cached::Makespan(makespan));
         makespan
@@ -1636,7 +1076,7 @@ impl<'a> Evaluator<'a> {
     /// unordered rail pair is probed from both ends — and the nested
     /// water-filling pass is a pure function of the candidate and the
     /// wire count, so its final cost can be reused verbatim.
-    pub fn dist_cost_cached(&self, fp: u128) -> Option<u64> {
+    pub(crate) fn dist_cost_cached(&self, fp: u128) -> Option<u64> {
         match self.cache.get(&self.cache_key(SPACE_DIST, fp)) {
             Some(Cached::Cost(cost)) => Some(cost),
             _ => None,
@@ -1648,7 +1088,7 @@ impl<'a> Evaluator<'a> {
     /// Callers must only store costs of *completed* redistributions
     /// (the budget did not trip mid-pass), so a later lookup observes
     /// the same value a fresh computation would produce.
-    pub fn store_dist_cost(&self, fp: u128, cost: u64) {
+    pub(crate) fn store_dist_cost(&self, fp: u128, cost: u64) {
         self.cache
             .get_or_insert_with(self.cache_key(SPACE_DIST, fp), || Cached::Cost(cost));
     }
@@ -1771,7 +1211,7 @@ impl<'a> Evaluator<'a> {
             .iter()
             .map(|rail| self.rail_eval_cached(rail.width(), rail.cores()))
             .collect();
-        self.assemble(rail_evals, None)
+        self.assemble(rail_evals)
     }
 }
 
@@ -1822,6 +1262,18 @@ mod tests {
         assert_eq!(eval.group_times[0].rails, vec![0, 1]);
     }
 
+    /// The cost summary an assembled evaluation implies.
+    fn cost_of(eval: &Evaluation) -> DeltaCost {
+        DeltaCost {
+            t_in: eval.t_in,
+            t_si: eval.t_si,
+            rail_used_sum: eval
+                .rail_time_used()
+                .iter()
+                .fold(0u64, |acc, &u| acc.saturating_add(u)),
+        }
+    }
+
     #[test]
     fn swap_state_merge_and_swaps_match_materialized_evaluations() {
         let soc = Benchmark::D695.soc();
@@ -1836,54 +1288,61 @@ mod tests {
             SiGroupSpec::new((4..10).map(c).collect(), 15),
         ];
         let evaluator = Evaluator::new(&soc, 32, groups).expect("valid");
-        let arch = TestRailArchitecture::new(&soc, rails.clone()).expect("valid");
-        let base = evaluator.evaluate(&arch);
+        let eval_of = |rails: Vec<TestRail>| {
+            evaluator.evaluate(&TestRailArchitecture::new(&soc, rails).expect("valid"))
+        };
+        let base = eval_of(rails.clone());
         let parent = evaluator.swap_state(&base);
-        assert_eq!((parent.t_in(), parent.t_si()), (base.t_in, base.t_si));
+        assert_eq!(parent.cost(), cost_of(&base));
+        assert_eq!(evaluator.readout(&parent), base);
 
-        // Merge rail 1 into rail 0 (labels: merged keeps 0, 1 dies) and
-        // compare against evaluating the compacted candidate rail list
-        // — the relabeling must not move `T_soc^in` or `T_soc^si`.
+        // Merge rails 0 and 1 into a rail appended at label 3: both
+        // partners leave holes, and the readout lists the survivor
+        // first — the order the optimizer materializes.
         let merged = rails[0].merged(&rails[1], 7).expect("valid");
         let merged_comp = evaluator.rail_eval_cached(7, merged.cores());
-        let mut st = evaluator.swap_state_merged(&parent, 0, 1, merged_comp);
-        let cand_arch =
-            TestRailArchitecture::new(&soc, vec![rails[2].clone(), merged.clone()]).expect("valid");
-        let cand = evaluator.evaluate(&cand_arch);
-        assert_eq!((st.t_in(), st.t_si()), (cand.t_in, cand.t_si));
+        let mut st = parent.clone();
+        evaluator.swap_apply(
+            &mut st,
+            &[(0, None), (1, None), (3, Some(Arc::clone(&merged_comp)))],
+        );
+        let cand = eval_of(vec![rails[2].clone(), merged.clone()]);
+        assert_eq!(st.cost(), cost_of(&cand));
+        assert_eq!(evaluator.readout(&st), cand);
+
+        // The same merge keeping label 0 for the merged rail reads out
+        // in the other order, at the same cost.
+        let mut kept = parent.clone();
+        evaluator.swap_apply(&mut kept, &[(0, Some(merged_comp)), (1, None)]);
+        assert_eq!(kept.cost(), st.cost());
+        assert_eq!(
+            evaluator.readout(&kept),
+            eval_of(vec![merged.clone(), rails[2].clone()])
+        );
 
         // Probing a survivor width swap must agree with evaluating the
         // swapped candidate, and accepting it must land on the probe.
         let wider = evaluator.rail_eval_cached(9, rails[2].cores());
-        let probed = evaluator.state_cost_swap(&st, 2, &wider);
-        let swapped_arch = TestRailArchitecture::new(
-            &soc,
-            vec![rails[2].with_width(9).expect("valid"), merged.clone()],
-        )
-        .expect("valid");
-        let swapped = evaluator.evaluate(&swapped_arch);
-        assert_eq!(probed, (swapped.t_in, swapped.t_si));
-        evaluator.state_apply_swap(&mut st, 2, wider);
-        assert_eq!((st.t_in(), st.t_si()), (swapped.t_in, swapped.t_si));
+        let probed = evaluator.swap_cost(&st, 2, &wider);
+        let swapped = eval_of(vec![rails[2].with_width(9).expect("valid"), merged.clone()]);
+        assert_eq!(probed, cost_of(&swapped));
+        evaluator.swap_apply(&mut st, &[(2, Some(wider))]);
+        assert_eq!(st.cost(), probed);
+        assert_eq!(evaluator.readout(&st), swapped);
 
-        // And the merged rail itself can widen (label 0, appended last
-        // in the materialized list).
+        // And the merged rail itself can widen.
         let merged_wide = evaluator.rail_eval_cached(8, merged.cores());
-        let probed = evaluator.state_cost_swap(&st, 0, &merged_wide);
-        let final_arch = TestRailArchitecture::new(
-            &soc,
-            vec![
-                rails[2].with_width(9).expect("valid"),
-                rails[0].merged(&rails[1], 8).expect("valid"),
-            ],
-        )
-        .expect("valid");
-        let fin = evaluator.evaluate(&final_arch);
-        assert_eq!(probed, (fin.t_in, fin.t_si));
-        evaluator.state_apply_swap(&mut st, 0, merged_wide);
-        assert_eq!((st.t_in(), st.t_si()), (fin.t_in, fin.t_si));
+        let probed = evaluator.swap_cost(&st, 3, &merged_wide);
+        let fin = eval_of(vec![
+            rails[2].with_width(9).expect("valid"),
+            rails[0].merged(&rails[1], 8).expect("valid"),
+        ]);
+        assert_eq!(probed, cost_of(&fin));
+        evaluator.swap_apply(&mut st, &[(3, Some(merged_wide))]);
+        assert_eq!(st.cost(), probed);
+        assert_eq!(evaluator.readout(&st), fin);
         assert_eq!(st.component(1), None);
-        assert_eq!(st.component(0).map(|comp| comp.width), Some(8));
+        assert_eq!(st.component(3).map(|comp| comp.width), Some(8));
     }
 
     #[test]
@@ -2012,36 +1471,60 @@ mod tests {
         ));
     }
 
+    /// Checks [`Evaluator::swap_cost`] and [`Evaluator::swap_apply`]
+    /// against a fresh evaluation for every rail at every width.
+    fn assert_width_swaps_match(
+        soc: &Soc,
+        max_width: u32,
+        groups: Vec<SiGroupSpec>,
+        rails: &[TestRail],
+    ) {
+        let evaluator = Evaluator::new(soc, max_width, groups).expect("valid");
+        let eval_of = |rails: Vec<TestRail>| {
+            evaluator.evaluate(&TestRailArchitecture::new(soc, rails).expect("valid"))
+        };
+        let st = evaluator.swap_state(&eval_of(rails.to_vec()));
+        for i in 0..rails.len() {
+            for w in 1..=max_width {
+                let mut cand = rails.to_vec();
+                cand[i] = rails[i].with_width(w).expect("valid");
+                let expected = eval_of(cand);
+                let comp = evaluator.rail_eval_cached(w, rails[i].cores());
+                assert_eq!(
+                    evaluator.swap_cost(&st, i, &comp),
+                    cost_of(&expected),
+                    "rail {i} at width {w}"
+                );
+                let mut applied = st.clone();
+                evaluator.swap_apply(&mut applied, &[(i, Some(comp))]);
+                assert_eq!(applied.cost(), cost_of(&expected), "rail {i} at width {w}");
+                assert_eq!(
+                    evaluator.readout(&applied),
+                    expected,
+                    "rail {i} at width {w}"
+                );
+            }
+        }
+    }
+
     #[test]
-    fn cost_swap_matches_cost_from_at_every_width() {
+    fn swap_cost_matches_evaluate_at_every_width() {
         let soc = Benchmark::D695.soc();
         let rails = vec![
             TestRail::new((0..4).map(c).collect(), 6).expect("valid"),
             TestRail::new((4..7).map(c).collect(), 3).expect("valid"),
             TestRail::new((7..10).map(c).collect(), 5).expect("valid"),
         ];
-        let arch = TestRailArchitecture::new(&soc, rails.clone()).expect("valid");
         let groups = vec![
             SiGroupSpec::new(soc.core_ids().collect(), 40),
             SiGroupSpec::new((0..6).map(c).collect(), 15),
             SiGroupSpec::new(vec![c(8), c(9)], 9),
         ];
-        let evaluator = Evaluator::new(&soc, 16, groups).expect("valid");
-        let base = evaluator.evaluate(&arch);
-        let ctx = evaluator.probe_ctx(&base);
-        for i in 0..rails.len() {
-            for w in 1..=16u32 {
-                let mut cand = rails.clone();
-                cand[i] = rails[i].with_width(w).expect("valid");
-                let expected = evaluator.cost_from(&base, &[i], &cand);
-                let got = evaluator.cost_swap(&ctx, i, rails[i].cores(), w);
-                assert_eq!(got, expected, "rail {i} at width {w}");
-            }
-        }
+        assert_width_swaps_match(&soc, 16, groups, &rails);
     }
 
     #[test]
-    fn cost_swap_matches_without_groups() {
+    fn swap_cost_matches_without_groups() {
         // The SI-free (InTestOnly baseline) configuration exercises the
         // empty-transpose path: every swap must reuse t_si = 0.
         let soc = Benchmark::D695.soc();
@@ -2049,38 +1532,16 @@ mod tests {
             TestRail::new((0..5).map(c).collect(), 4).expect("valid"),
             TestRail::new((5..10).map(c).collect(), 4).expect("valid"),
         ];
-        let arch = TestRailArchitecture::new(&soc, rails.clone()).expect("valid");
-        let evaluator = Evaluator::new(&soc, 8, vec![]).expect("valid");
-        let base = evaluator.evaluate(&arch);
-        let ctx = evaluator.probe_ctx(&base);
-        for i in 0..rails.len() {
-            for w in 1..=8u32 {
-                let mut cand = rails.clone();
-                cand[i] = rails[i].with_width(w).expect("valid");
-                let expected = evaluator.cost_from(&base, &[i], &cand);
-                let got = evaluator.cost_swap(&ctx, i, rails[i].cores(), w);
-                assert_eq!(got, expected, "rail {i} at width {w}");
-            }
-        }
+        assert_width_swaps_match(&soc, 8, vec![], &rails);
     }
 
     #[test]
-    fn cost_swap_single_rail_architecture() {
+    fn swap_cost_single_rail_architecture() {
         // n = 1: the max-excluding-i reduction falls back to 0.
         let soc = Benchmark::D695.soc();
         let rails = vec![TestRail::new(soc.core_ids().collect(), 8).expect("valid")];
-        let arch = TestRailArchitecture::new(&soc, rails.clone()).expect("valid");
         let groups = vec![SiGroupSpec::new(soc.core_ids().collect(), 25)];
-        let evaluator = Evaluator::new(&soc, 16, groups).expect("valid");
-        let base = evaluator.evaluate(&arch);
-        let ctx = evaluator.probe_ctx(&base);
-        for w in 1..=16u32 {
-            let mut cand = rails.clone();
-            cand[0] = rails[0].with_width(w).expect("valid");
-            let expected = evaluator.cost_from(&base, &[0], &cand);
-            let got = evaluator.cost_swap(&ctx, 0, rails[0].cores(), w);
-            assert_eq!(got, expected, "width {w}");
-        }
+        assert_width_swaps_match(&soc, 16, groups, &rails);
     }
 
     #[test]

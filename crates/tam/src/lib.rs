@@ -67,8 +67,7 @@ pub use bus::TestBusEvaluator;
 
 pub use error::TamError;
 pub use evaluator::{
-    DeltaCost, EvalCache, Evaluation, Evaluator, ProbeCtx, RailEval, SiGroupSpec, SiGroupTime,
-    SwapState,
+    DeltaCost, EvalCache, Evaluation, Evaluator, RailEval, SiGroupSpec, SiGroupTime, SwapState,
 };
 pub use optimizer::{Objective, OptimizedArchitecture, TamOptimizer};
 pub use rail::{TestRail, TestRailArchitecture};

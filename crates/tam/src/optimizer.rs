@@ -9,10 +9,9 @@ use soctam_exec::{fault, fx_fingerprint128, CancelToken, FaultError, Pool, Progr
 use soctam_model::{CoreId, Soc};
 
 use crate::budget::BudgetTracker;
-use crate::evaluator::SwapState;
 use crate::{
-    DeltaCost, EvalCache, Evaluation, Evaluator, OptimizerBudget, RailEval, SiGroupSpec, TamError,
-    TestRail, TestRailArchitecture,
+    DeltaCost, EvalCache, Evaluation, Evaluator, OptimizerBudget, RailEval, SiGroupSpec, SwapState,
+    TamError, TestRail, TestRailArchitecture,
 };
 
 /// What the optimizer minimizes.
@@ -193,36 +192,8 @@ impl<'a> TamOptimizer<'a> {
         self.evaluator.evaluate_rails_cached(rails)
     }
 
-    /// Delta evaluation against an incumbent: only the rails listed in
-    /// `changed` differ from what `base` was evaluated on. Speculative
-    /// candidates skip the architecture-level cache on purpose — most
-    /// are visited once, so fingerprinting the whole rail list and
-    /// inserting every candidate costs more than the delta assembly it
-    /// would save; the per-rail and schedule caches below it do the
-    /// cross-candidate sharing.
-    fn eval_from(&self, base: &Evaluation, changed: &[usize], rails: &[TestRail]) -> Evaluation {
-        debug_assert!(TestRailArchitecture::new(self.soc(), rails.to_vec()).is_ok());
-        self.evaluator.evaluate_from(base, changed, rails)
-    }
-
-    fn cost_of(&self, eval: &Evaluation) -> u64 {
-        match self.objective {
-            Objective::Total => eval.t_total(),
-            Objective::InTestOnly => eval.t_in,
-        }
-    }
-
-    /// [`TamOptimizer::cost_of`] on a cost-only delta evaluation.
-    fn cost_of_delta(&self, delta: &DeltaCost) -> u64 {
-        match self.objective {
-            Objective::Total => delta.t_in.saturating_add(delta.t_si),
-            Objective::InTestOnly => delta.t_in,
-        }
-    }
-
-    /// [`TamOptimizer::cost_of`] from the two makespans of a fused
-    /// swap state.
-    fn cost_of_parts(&self, t_in: u64, t_si: u64) -> u64 {
+    /// The optimization objective from an architecture's two makespans.
+    fn cost_of(&self, t_in: u64, t_si: u64) -> u64 {
         match self.objective {
             Objective::Total => t_in.saturating_add(t_si),
             Objective::InTestOnly => t_in,
@@ -230,7 +201,8 @@ impl<'a> TamOptimizer<'a> {
     }
 
     fn cost(&self, rails: &[TestRail]) -> u64 {
-        self.cost_of(&self.eval(rails))
+        let eval = self.eval(rails);
+        self.cost_of(eval.t_in, eval.t_si)
     }
 
     /// Publishes the current optimizer phase to the progress sink.
@@ -327,221 +299,185 @@ impl<'a> TamOptimizer<'a> {
         }
     }
 
-    /// The rails whose time bounds the objective: all rails achieving
-    /// `T_soc^in`, plus (for the total objective) the bottleneck rail of
-    /// every SI group. Free wires go only to these (Section 4.2).
-    fn bottleneck_rails(&self, eval: &Evaluation) -> Vec<usize> {
-        let mut set = BTreeSet::new();
-        for (i, &t) in eval.rail_time_in.iter().enumerate() {
-            if t == eval.t_in {
-                set.insert(i);
-            }
-        }
-        if self.objective == Objective::Total {
-            for group in &eval.group_times {
-                if group.bottleneck_rail != usize::MAX {
-                    set.insert(group.bottleneck_rail);
-                }
-            }
-        }
-        set.into_iter().collect()
-    }
-
-    /// `distributeFreeWires`: assigns `wires` extra TAM wires, favouring
-    /// bottleneck rails (Section 4.2).
+    /// `distributeFreeWires`: spends `wires` free TAM wires on the rails
+    /// of `st`, favouring bottleneck rails (Section 4.2).
     ///
     /// A rail's time is a non-increasing *staircase* in width: adding one
     /// wire frequently changes nothing (the longest wrapper chain is fixed
     /// by a scan-chain plateau), so a one-wire-at-a-time greedy stalls and
     /// dumps the whole budget on one rail. Instead each step jumps a rail
-    /// directly to its next Pareto width — the smallest width at which its
-    /// utilized time actually drops — and picks the jump that minimizes
-    /// `(T_soc, Σ_r time_used(r), wires spent)`. Wires that cannot improve
-    /// any rail are spread one per widest-gap rail at the end.
+    /// directly to one of its strict drop points — a width at which its
+    /// utilized time falls below every smaller width — and picks the
+    /// steepest descent: lowest resulting cost first, then the highest
+    /// time reduction per wire spent, then fewest wires. Among
+    /// every drop point of every rail (not just the nearest one — a tiny
+    /// SI gain at +1 must not mask a large InTest cliff at +6), the
+    /// `(rail, jump)` candidates are enumerated serially, probed as one
+    /// speculative batch of [`Evaluator::swap_cost`]s, and reduced in
+    /// enumeration order, so the first-best tie-break is identical at
+    /// every probe-pool size. The winner is applied to `st` in place.
     ///
-    /// `speculative` marks calls made while costing a *candidate* move
-    /// (the mergeTAMs sweep): those never tick the iteration budget —
-    /// candidate probes racing the shared counter from pool workers
-    /// would make iteration-budgeted runs thread-count-dependent. Only
-    /// committed, serial wire-distribution steps count as iterations.
+    /// `lanes[j]` describes live rail `j` of `st` (`None` for holes).
+    /// Rails are swept in label order, so the caller's labelling fixes
+    /// the tie-break; every component a step can need is prefetched in
+    /// the lanes, keeping all cache traffic out of the probe batch.
     ///
-    /// `incumbent` optionally seeds the evaluation of `rails` as passed
-    /// in (callers that already evaluated them); the running evaluation
-    /// is carried across iterations as rail deltas, and the final
-    /// rails' evaluation is returned alongside them.
-    // Invariant: widths only ever grow here, so `with_width` cannot see 0.
+    /// The two kinds of caller differ only in the budget check and the
+    /// tail. A `commit`ted pass is one serial optimizer step: each
+    /// accepted jump ticks the iteration budget. A speculative pass —
+    /// costing or materializing a mergeTAMs candidate — only checks the
+    /// budget (probes racing the shared counter from pool workers would
+    /// make iteration-budgeted runs thread-count-dependent) and probes
+    /// on the calling worker. With `park` set, leftover wires no jump
+    /// can use are parked one at a time on bottleneck rails (they may
+    /// enable future merges), fetching components through `park`; this
+    /// is purely cosmetic for feasibility, so it stops once the budget
+    /// trips. A cost-only pass skips it: parking only starts when no
+    /// rail has a strict drop within the remaining budget, so each +1
+    /// leaves that rail's `time_used` flat — and since the InTest and SI
+    /// staircases are individually non-increasing, a flat sum pins both
+    /// addends and every group column, and therefore every makespan.
     #[allow(clippy::expect_used)]
     fn distribute_free_wires(
         &self,
-        mut rails: Vec<TestRail>,
+        st: &mut SwapState,
+        lanes: &[Option<Lane<'_>>],
         wires: u32,
         tracker: &BudgetTracker,
-        speculative: bool,
-        incumbent: Option<Evaluation>,
-        staircases: Option<&[Arc<Vec<u64>>]>,
-    ) -> (Vec<TestRail>, Evaluation) {
-        let mut incumbent = incumbent.unwrap_or_else(|| (*self.eval(&rails)).clone());
+        commit: bool,
+        park: Option<&dyn Fn(usize, u32) -> Arc<RailEval>>,
+    ) {
         let mut remaining = wires;
-        // Core sets never change below — only widths do — so every
-        // iteration reads the same memoized staircases; probe them once
-        // — or reuse the caller's, aligned with `rails`: merge probing
-        // passes its precomputed per-partner set so the thousands of
-        // nested speculative calls skip the per-rail cache fetches.
-        let built: Vec<Arc<Vec<u64>>>;
-        let staircases: &[Arc<Vec<u64>>] = match staircases {
-            Some(shared) => {
-                debug_assert_eq!(shared.len(), rails.len());
-                shared
-            }
-            None => {
-                built = rails
-                    .iter()
-                    .map(|r| self.evaluator.rail_used_staircase(r.cores()))
-                    .collect();
-                &built
-            }
-        };
-        // Dense `(rail, width) -> component` memo for the whole call:
-        // candidate widths repeat heavily across iterations, and
-        // prefetching during the serial enumeration keeps every cache
-        // lookup (hash + shard lock + `Arc` clone) out of the probe
-        // batch, where it would otherwise dominate the probe cost.
-        // Flat and sized by the wire budget — every probed width
-        // satisfies `w - initial_width(i) <= wires` — so the nested
-        // speculative calls (small `wires`, many invocations) allocate
-        // a few hundred bytes, not a rails x max_width matrix.
-        let init_widths: Vec<u32> = rails.iter().map(TestRail::width).collect();
-        let stride = wires as usize + 1;
-        let mut components: Vec<Option<Arc<RailEval>>> = vec![None; rails.len() * stride];
-        let slot_of = |i: usize, w: u32| i * stride + (w - init_widths[i]) as usize;
-        // Per-rail strict drop points `(d, neg_rate)` at the rail's
-        // current width, ascending in `d`. The walk is prefix-stable
-        // (each verdict depends only on earlier staircase entries), so
-        // a list built under a larger budget truncated to `d <=
-        // remaining` equals the list built under `remaining` — lists
-        // are built once per rail and rebuilt only when that rail's
-        // width changes, not on every accepted step.
-        let drops_for = |i: usize, width: u32, budget: u32, mut out: Vec<(u32, u128)>| {
-            out.clear();
-            let staircase = &staircases[i];
-            let before = staircase[(width - 1) as usize];
-            // soctam-analyze: allow(ARITH-01) -- the staircase has max_width entries, and max_width is u32
-            let limit = budget.min((staircase.len() as u32).saturating_sub(width));
-            let mut best = before;
-            for d in 1..=limit {
-                let after = staircase[(width + d - 1) as usize];
-                if after < best {
-                    best = after;
-                    let gain = before - after;
-                    // Rate comparison without floats: encode gain/d as a
-                    // scaled fixed-point value (negated so smaller = better).
-                    let neg_rate = u128::MAX - (u128::from(gain) << 32) / u128::from(d);
-                    out.push((d, neg_rate));
-                }
-            }
-            out
-        };
-        let mut per_rail: Vec<Vec<(u32, u128)>> = Vec::with_capacity(rails.len());
-        for (i, rail) in rails.iter().enumerate() {
-            per_rail.push(drops_for(i, rail.width(), wires, Vec::new()));
-        }
-        let mut candidates: Vec<(usize, u32, u128)> = Vec::new();
+        // A lane that accepted wires gets its drop list rebuilt relative
+        // to its new width (rates change); every other lane reads its
+        // initial list, truncated to the live budget below. Rebuilt
+        // lists only target widths of the initial list (see
+        // `staircase_drops`), so their components are already there.
+        let mut rebuilt: Vec<Option<Drops>> = vec![None; lanes.len()];
+        let mut candidates: Vec<(usize, usize, u32, u128)> = Vec::new();
         while remaining > 0
-            && if speculative {
-                tracker.within()
-            } else {
+            && if commit {
                 tracker.tick()
+            } else {
+                tracker.within()
             }
         {
-            // Water-filling over the staircases: among every strict drop
-            // point of every rail (not just the nearest one — a tiny SI
-            // gain at +1 must not mask a large InTest cliff at +6), pick
-            // the steepest descent: lowest resulting cost first, then the
-            // highest time reduction *per wire spent*, then fewest wires.
-            // The `(rail, jump)` candidates are enumerated serially,
-            // probed as one speculative batch, and reduced in
-            // enumeration order, so the first-best tie-break is
-            // identical at every probe-pool size.
+            let list_of = |j: usize| -> &[(u32, u128, Arc<RailEval>)] {
+                match (&rebuilt[j], &lanes[j]) {
+                    (Some(list), _) => list,
+                    (None, Some(lane)) => lane.drops,
+                    (None, None) => &[],
+                }
+            };
             candidates.clear();
-            for (i, drops) in per_rail.iter().enumerate() {
-                let width = rails[i].width();
-                for &(d, neg_rate) in drops {
+            for j in 0..lanes.len() {
+                let Some(current) = st.component(j).map(|c| c.width) else {
+                    continue;
+                };
+                for (k, &(target, neg_rate, _)) in list_of(j).iter().enumerate() {
+                    let d = target - current;
                     if d > remaining {
                         break;
                     }
-                    let slot = slot_of(i, width + d);
-                    if components[slot].is_none() {
-                        components[slot] = Some(self.evaluator.swap_component(
-                            &incumbent,
-                            i,
-                            rails[i].cores(),
-                            width + d,
-                        ));
-                    }
-                    candidates.push((i, d, neg_rate));
+                    candidates.push((j, k, d, neg_rate));
                 }
             }
-            let mut best: Option<(usize, u32)> = None;
-            let mut staged: Option<Evaluation> = None;
-            {
-                // Each candidate differs from the incumbent only at
-                // rail `i`'s width, so the width-swap fast path applies.
-                let ctx = self.evaluator.probe_ctx(&incumbent);
-                let costed = self.probe(tracker, speculative, &candidates, |&(i, d, _)| {
-                    let comp = components[slot_of(i, rails[i].width().saturating_add(d))]
-                        .as_deref()
-                        .expect("prefetched during enumeration");
-                    self.cost_of_delta(&self.evaluator.cost_swap_with(&ctx, i, comp))
-                });
-                let mut best_key: Option<(u64, u128, u32)> = None;
-                for (&(i, d, neg_rate), cost) in candidates.iter().zip(costed) {
-                    let Some(cost) = cost else { continue };
-                    let key = (cost, neg_rate, d);
-                    if best_key.map_or(true, |b| key < b) {
-                        best_key = Some(key);
-                        best = Some((i, d));
-                    }
-                }
-                // Materialize the winner's evaluation while the probe
-                // context is still alive: patching the incumbent beats
-                // re-reducing all components on every accepted step.
-                if let Some((i, d)) = best {
-                    let comp = components[slot_of(i, rails[i].width().saturating_add(d))]
-                        .clone()
-                        .expect("prefetched during enumeration");
-                    staged = Some(self.evaluator.evaluate_swap_with(&ctx, i, comp));
+            let view: &SwapState = st;
+            let costed = self.probe(tracker, !commit, &candidates, |&(j, k, _, _)| {
+                let cost = self.evaluator.swap_cost(view, j, &list_of(j)[k].2);
+                self.cost_of(cost.t_in, cost.t_si)
+            });
+            let mut best: Option<((u64, u128, u32), usize, usize)> = None;
+            for (&(j, k, d, neg_rate), cost) in candidates.iter().zip(costed) {
+                let Some(cost) = cost else { continue };
+                let key = (cost, neg_rate, d);
+                if best.map_or(true, |(b, _, _)| key < b) {
+                    best = Some((key, j, k));
                 }
             }
-            match best {
-                Some((i, d)) => {
-                    rails[i] = rails[i]
-                        .with_width(rails[i].width().saturating_add(d))
-                        .expect("width > 0");
-                    remaining -= d;
-                    incumbent = staged.expect("staged alongside best");
-                    let buf = std::mem::take(&mut per_rail[i]);
-                    per_rail[i] = drops_for(i, rails[i].width(), remaining, buf);
-                }
-                None => break, // no affordable jump improves any rail
-            }
+            // No affordable jump improves any rail.
+            let Some(((_, _, d), j, k)) = best else { break };
+            let (width, _, comp) = list_of(j)[k].clone();
+            self.evaluator.swap_apply(st, &[(j, Some(comp))]);
+            remaining -= d;
+            let lane = lanes[j].as_ref().expect("only live lanes yield candidates");
+            rebuilt[j] = Some(
+                staircase_drops(lane.stairs, width, remaining)
+                    .into_iter()
+                    .map(|(target, neg_rate)| {
+                        let at = lane
+                            .drops
+                            .binary_search_by_key(&target, |&(w, _, _)| w)
+                            .expect("rebuilt lists target prefetched widths");
+                        (target, neg_rate, Arc::clone(&lane.drops[at].2))
+                    })
+                    .collect(),
+            );
         }
-        // Leftover wires that cannot improve anything on their own: park
-        // them on bottleneck rails (they may enable future merges). Purely
-        // cosmetic for feasibility, so it is skipped once the budget trips.
+        let Some(park) = park else { return };
         while remaining > 0 && tracker.within() {
-            let target = self
-                .bottleneck_rails(&incumbent)
+            let target = st
+                .bottlenecks(self.objective == Objective::Total)
                 .into_iter()
-                .chain(0..rails.len())
-                .find(|&i| rails[i].width() < self.max_width);
-            let Some(i) = target else { break };
-            rails[i] = rails[i]
-                .with_width(rails[i].width().saturating_add(1))
-                .expect("width > 0");
+                .chain(0..st.len())
+                .find(|&j| st.component(j).is_some_and(|c| c.width < self.max_width));
+            let Some(j) = target else { break };
+            let width = st.component(j).expect("found live").width.saturating_add(1);
+            self.evaluator.swap_apply(st, &[(j, Some(park(j, width)))]);
             remaining -= 1;
-            incumbent = self.eval_from(&incumbent, &[i], &rails);
         }
-        (rails, incumbent)
+    }
+
+    /// The strict drops of `rail` within `budget` wires of its width,
+    /// each with its memoized component.
+    fn lane_drops(&self, rail: &TestRail, stairs: &[u64], budget: u32) -> Drops {
+        staircase_drops(stairs, rail.width(), budget)
+            .into_iter()
+            .map(|(w, neg_rate)| {
+                (
+                    w,
+                    neg_rate,
+                    self.evaluator.rail_eval_cached(w, rail.cores()),
+                )
+            })
+            .collect()
+    }
+
+    /// The committed `distributeFreeWires` call of the start solution:
+    /// spends `wires` on `rails` and returns them widened.
+    // Invariant: widths only ever grow here, so `with_width` cannot see 0.
+    #[allow(clippy::expect_used)]
+    fn spread_free_wires(
+        &self,
+        rails: Vec<TestRail>,
+        wires: u32,
+        tracker: &BudgetTracker,
+    ) -> Vec<TestRail> {
+        let mut st = self.evaluator.swap_state(&self.eval(&rails));
+        let stairs: Vec<Arc<Vec<u64>>> = rails
+            .iter()
+            .map(|r| self.evaluator.rail_used_staircase(r.cores()))
+            .collect();
+        let drops: Vec<Drops> = rails
+            .iter()
+            .zip(&stairs)
+            .map(|(rail, stairs)| self.lane_drops(rail, stairs, wires))
+            .collect();
+        let lanes: Vec<Option<Lane<'_>>> = stairs
+            .iter()
+            .zip(&drops)
+            .map(|(stairs, drops)| Some(Lane { stairs, drops }))
+            .collect();
+        let park = |j: usize, w: u32| self.evaluator.rail_eval_cached(w, rails[j].cores());
+        self.distribute_free_wires(&mut st, &lanes, wires, tracker, true, Some(&park));
+        rails
+            .iter()
+            .enumerate()
+            .map(|(j, rail)| {
+                let width = st.component(j).expect("no rail is removed").width;
+                rail.with_width(width).expect("width > 0")
+            })
+            .collect()
     }
 
     /// `mergeTAMs`: merges `rails[r1]` with the partner and merged width
@@ -562,13 +498,14 @@ impl<'a> TamOptimizer<'a> {
             return (rails, false);
         }
         let current_eval = self.eval(&rails);
-        let current = self.cost_of(&current_eval);
+        let current = self.cost_of(current_eval.t_in, current_eval.t_si);
+        let n = rails.len();
         // Every (partner, merged-width) candidate is independent:
         // probe them speculatively, then reduce sequentially in the
         // original visit order so the winning tie-break — first
         // strictly-better candidate — is identical for any pool size.
         let mut candidates: Vec<(usize, u32)> = Vec::new();
-        for i in 0..rails.len() {
+        for i in 0..n {
             if i == r1 {
                 continue;
             }
@@ -578,101 +515,96 @@ impl<'a> TamOptimizer<'a> {
                 candidates.push((i, w));
             }
         }
-        // Builds one merge candidate: survivors keep their original
-        // order (and, via `source`, their incumbent components); the
-        // merged rail joins at the tail.
-        let build = |i: usize, w: u32| -> (Vec<Option<usize>>, Vec<TestRail>) {
-            let merged = rails[r1].merged(&rails[i], w).expect("merged width >= 1");
-            let mut source: Vec<Option<usize>> = Vec::with_capacity(rails.len() - 1);
-            let mut cand: Vec<TestRail> = Vec::with_capacity(rails.len() - 1);
-            for (j, rail) in rails.iter().enumerate() {
-                if j != r1 && j != i {
-                    source.push(Some(j));
-                    cand.push(rail.clone());
-                }
-            }
-            source.push(None);
-            cand.push(merged);
-            (source, cand)
-        };
         // Redistribution costs are memoized under a canonical
         // (rails, unordered pair, merged width, objective) key:
         // `merged` sorts its cores, so probing the pair from either
-        // end builds the identical candidate. Probes return only the
-        // cost; the winner's rail list is rebuilt once after the
-        // reduction (deterministic: the redistribution is a pure
-        // function of the candidate while the budget holds, and
-        // budget ticks never advance inside a probe batch).
+        // end builds the identical candidate.
         let rails_fp = fx_fingerprint128(&rails);
         let tag = match self.objective {
             Objective::Total => 0u8,
             Objective::InTestOnly => 1u8,
         };
-        // Every candidate for a given partner shares one core layout
-        // (survivors unchanged, merged core set independent of `w`), so
-        // fetch each rail staircase once here and hand the nested
-        // redistributions a ready-made set instead of letting every
-        // probe re-fetch all of them from the evaluator cache.
+        let w_lo = |i: usize| rails[r1].width().max(rails[i].width());
         let parent_stairs: Vec<Arc<Vec<u64>>> = rails
             .iter()
             .map(|r| self.evaluator.rail_used_staircase(r.cores()))
             .collect();
-        let mut partner_stairs: Vec<Option<Vec<Arc<Vec<u64>>>>> = vec![None; rails.len()];
-        // Per partner, the merged rail's memoized components at every
-        // candidate width `max(w1, wi)..=w1 + wi` (redistribution can
-        // only grow the merged rail within that same range), indexed by
-        // `width - max(w1, wi)`.
-        let mut partner_merged: Vec<Option<Vec<Arc<RailEval>>>> = vec![None; rails.len()];
+        // Per partner, the merged rail's staircase and its memoized
+        // components at every candidate width `max(w1, wi)..=w1 + wi`
+        // (redistribution can only grow the merged rail within that
+        // same range), indexed by `width - max(w1, wi)`. Widths never
+        // exceed the budget: the architecture always holds
+        // `Σ widths <= max_width`, so `w1 + wi` is in range.
+        let mut partners = vec![None; n];
         for &(i, _) in &candidates {
-            if partner_stairs[i].is_some() {
+            if partners[i].is_some() {
                 continue;
             }
-            let w_lo = rails[r1].width().max(rails[i].width());
             let w_hi = rails[r1].width().saturating_add(rails[i].width());
             let merged = rails[r1]
-                .merged(&rails[i], w_lo)
+                .merged(&rails[i], w_lo(i))
                 .expect("merged width >= 1");
-            let mut stairs: Vec<Arc<Vec<u64>>> = Vec::with_capacity(rails.len() - 1);
-            for (j, s) in parent_stairs.iter().enumerate() {
-                if j != r1 && j != i {
-                    stairs.push(Arc::clone(s));
-                }
-            }
-            stairs.push(self.evaluator.rail_used_staircase(merged.cores()));
-            partner_stairs[i] = Some(stairs);
-            // Widths never exceed the budget: the architecture always
-            // holds `Σ widths <= max_width`, so `w1 + wi` is in range.
-            partner_merged[i] = Some(
-                (w_lo..=w_hi)
-                    .map(|w| self.evaluator.rail_eval_cached(w, merged.cores()))
-                    .collect(),
-            );
+            let stairs = self.evaluator.rail_used_staircase(merged.cores());
+            let comps: Vec<Arc<RailEval>> = (w_lo(i)..=w_hi)
+                .map(|w| self.evaluator.rail_eval_cached(w, merged.cores()))
+                .collect();
+            partners[i] = Some((stairs, comps));
         }
-        // Fused probing shares one owned copy of the parent reduction
-        // state plus each survivor's drop list and components, bounded
-        // by the largest leftover any candidate can free. Probes patch
-        // a clone of the state instead of materializing candidate
-        // evaluations, and the nested redistribution runs cost-only.
+        // Every candidate shares the parent's reduction state and each
+        // survivor's lane, bounded by the largest leftover any candidate
+        // can free; a probe patches a clone of the state.
         let parent_state = self.evaluator.swap_state(&current_eval);
         let l_max = candidates
             .iter()
             .map(|&(i, w)| rails[r1].width().saturating_add(rails[i].width()) - w)
             .max()
             .unwrap_or(0);
-        let mut rail_drops: Vec<Vec<(u32, u128)>> = Vec::with_capacity(rails.len());
-        let mut rail_comps: Vec<Vec<Arc<RailEval>>> = Vec::with_capacity(rails.len());
-        for (j, rail) in rails.iter().enumerate() {
-            let drops = staircase_drops(&parent_stairs[j], rail.width(), l_max);
-            let comps = drops
-                .iter()
-                .map(|&(wt, _)| {
-                    self.evaluator
-                        .swap_component(&current_eval, j, rail.cores(), wt)
-                })
-                .collect();
-            rail_drops.push(drops);
-            rail_comps.push(comps);
-        }
+        let parent_drops: Vec<Drops> = rails
+            .iter()
+            .zip(&parent_stairs)
+            .map(|(rail, stairs)| self.lane_drops(rail, stairs, l_max))
+            .collect();
+        // The state of merging `r1` with partner `i` at width `w`, with
+        // `leftover` freed wires redistributed: both partners leave
+        // holes and the merged rail is appended at label `n`, so label
+        // order is the order the candidate's rails materialize in
+        // (survivors, then the merged rail).
+        let merged_state = |i: usize,
+                            w: u32,
+                            leftover: u32,
+                            park: Option<&dyn Fn(usize, u32) -> Arc<RailEval>>|
+         -> SwapState {
+            let (stairs, comps) = partners[i].as_ref().expect("prefetched per partner");
+            let comp_at = |w: u32| Arc::clone(&comps[(w - w_lo(i)) as usize]);
+            let mut st = parent_state.clone();
+            self.evaluator
+                .swap_apply(&mut st, &[(r1, None), (i, None), (n, Some(comp_at(w)))]);
+            if leftover > 0 {
+                let merged_drops: Drops = staircase_drops(stairs, w, leftover)
+                    .into_iter()
+                    .map(|(target, neg_rate)| (target, neg_rate, comp_at(target)))
+                    .collect();
+                let lanes: Vec<Option<Lane<'_>>> = (0..=n)
+                    .map(|j| {
+                        if j == n {
+                            Some(Lane {
+                                stairs,
+                                drops: &merged_drops,
+                            })
+                        } else if j == r1 || j == i {
+                            None
+                        } else {
+                            Some(Lane {
+                                stairs: &parent_stairs[j],
+                                drops: &parent_drops[j],
+                            })
+                        }
+                    })
+                    .collect();
+                self.distribute_free_wires(&mut st, &lanes, leftover, tracker, false, park);
+            }
+            st
+        };
         let costed = self.probe(tracker, false, &candidates, |&(i, w)| {
             let leftover = rails[r1].width().saturating_add(rails[i].width()) - w;
             // Admissible prune (Total objective only): groups sharing a
@@ -689,21 +621,14 @@ impl<'a> TamOptimizer<'a> {
             // the candidate and `current`, so the prune is
             // deterministic at every pool size.
             if self.objective == Objective::Total {
-                let stairs = partner_stairs[i]
-                    .as_ref()
-                    .expect("precomputed for every partner");
-                let mut lb = 0u64;
-                let mut k = 0usize;
+                let at = |stairs: &[u64], w: u32| stairs[(w.min(self.max_width) - 1) as usize];
+                let (merged_stairs, _) = partners[i].as_ref().expect("prefetched per partner");
+                let mut lb = at(merged_stairs, w + leftover);
                 for (j, rail) in rails.iter().enumerate() {
-                    if j == r1 || j == i {
-                        continue;
+                    if j != r1 && j != i {
+                        lb = lb.max(at(&parent_stairs[j], rail.width().saturating_add(leftover)));
                     }
-                    let wj = rail.width().saturating_add(leftover).min(self.max_width);
-                    lb = lb.max(stairs[k][(wj - 1) as usize]);
-                    k += 1;
                 }
-                let wm = (w + leftover).min(self.max_width);
-                lb = lb.max(stairs[k][(wm - 1) as usize]);
                 if lb >= current {
                     return u64::MAX;
                 }
@@ -715,40 +640,8 @@ impl<'a> TamOptimizer<'a> {
                     return cost;
                 }
             }
-            // Fused cost-only evaluation: patch the shared parent state
-            // (rail i dies, the merged rail takes label r1) and spend
-            // the freed wires with the same greedy the committed path
-            // runs — every lookup below hits the precomputed lists, so
-            // the probe allocates one state clone and nothing else.
-            let merged_comps = partner_merged[i].as_ref().expect("prefetched per partner");
-            let w_lo = rails[r1].width().max(rails[i].width());
-            let mut st = self.evaluator.swap_state_merged(
-                &parent_state,
-                r1,
-                i,
-                Arc::clone(&merged_comps[(w - w_lo) as usize]),
-            );
-            if leftover > 0 {
-                let merged_stairs = partner_stairs[i]
-                    .as_ref()
-                    .expect("precomputed for every partner")
-                    .last()
-                    .expect("stairs hold at least the merged rail");
-                self.fused_redistribute(
-                    &mut st,
-                    tracker,
-                    r1,
-                    i,
-                    leftover,
-                    &parent_stairs,
-                    &rail_drops,
-                    &rail_comps,
-                    merged_comps,
-                    merged_stairs,
-                    w_lo,
-                );
-            }
-            let cost = self.cost_of_parts(st.t_in(), st.t_si());
+            let st = merged_state(i, w, leftover, None);
+            let cost = self.cost_of(st.t_in(), st.t_si());
             if let Some(fp) = dist_fp {
                 if tracker.within() {
                     self.evaluator.store_dist_cost(fp, cost);
@@ -759,9 +652,9 @@ impl<'a> TamOptimizer<'a> {
         let mut best: Option<(usize, u64)> = None;
         for (idx, probed) in costed.into_iter().enumerate() {
             // Budget-tripped or faulted probes are poisoned to `None`;
-            // skipping them is equivalent to the old explicit
-            // `u64::MAX` poison because the `cost < current` gate below
-            // rejected those candidates anyway.
+            // skipping them is equivalent to an explicit `u64::MAX`
+            // poison because the `cost < current` gate below rejects
+            // those candidates anyway.
             let Some(cost) = probed else { continue };
             if best.map_or(true, |(_, b)| cost < b) {
                 best = Some((idx, cost));
@@ -769,137 +662,27 @@ impl<'a> TamOptimizer<'a> {
         }
         match best {
             Some((idx, cost)) if cost < current => {
+                // Rebuild the winner's state — deterministic: the
+                // redistribution is a pure function of the candidate
+                // while the budget holds, and budget ticks never advance
+                // inside a probe batch — this time parking leftover
+                // wires, and read its rails off the state.
                 let (i, w) = candidates[idx];
-                let (source, cand) = build(i, w);
                 let leftover = rails[r1].width().saturating_add(rails[i].width()) - w;
-                if leftover > 0 {
-                    let eval = self
-                        .evaluator
-                        .evaluate_from_mapped(&current_eval, &source, &cand);
-                    let (cand, _) = self.distribute_free_wires(
-                        cand,
-                        leftover,
-                        tracker,
-                        true,
-                        Some(eval),
-                        partner_stairs[i].as_deref(),
-                    );
-                    (cand, true)
-                } else {
-                    (cand, true)
-                }
+                let merged = rails[r1].merged(&rails[i], w).expect("merged width >= 1");
+                let rail_of = |j: usize| if j == n { &merged } else { &rails[j] };
+                let park =
+                    |j: usize, w: u32| self.evaluator.rail_eval_cached(w, rail_of(j).cores());
+                let st = merged_state(i, w, leftover, Some(&park));
+                let cand = (0..st.len())
+                    .filter_map(|j| {
+                        let comp = st.component(j)?;
+                        Some(rail_of(j).with_width(comp.width).expect("width > 0"))
+                    })
+                    .collect();
+                (cand, true)
             }
             _ => (rails, false),
-        }
-    }
-
-    /// The cost-only twin of the nested
-    /// [`TamOptimizer::distribute_free_wires`] call a merge probe used
-    /// to make: spends `leftover` freed wires on the fused state `st`
-    /// (merged rail labelled `r1`, rail `dead` removed), reproducing
-    /// the committed redistribution's candidate enumeration order,
-    /// selection key, and budget semantics exactly — so the final
-    /// `(T_soc^in, T_soc^si)` is bit-identical to the cost of the
-    /// materialized redistribution.
-    ///
-    /// Candidate order: the committed path lists survivors in their
-    /// original order followed by the merged rail (appended last); here
-    /// survivors keep their parent labels (ascending, skipping `r1` and
-    /// `dead`) and the merged rail — labelled `r1` — closes the sweep:
-    /// the same order under the relabeling, so the first-best reduction
-    /// picks the same move.
-    ///
-    /// The committed path's trailing parking pass (leftover wires no
-    /// strict drop can absorb) is skipped: parking only runs when no
-    /// rail has a strict drop within the remaining budget, so each +1
-    /// parking step leaves that rail's `time_used` flat — and since the
-    /// InTest and SI staircases are individually non-increasing, a flat
-    /// sum pins both addends and every group column, and therefore
-    /// every makespan. The committed rails still park (feasibility: all
-    /// wires must be placed); only the probe's cost skips the
-    /// cost-invariant tail.
-    #[allow(clippy::expect_used, clippy::too_many_arguments)]
-    fn fused_redistribute(
-        &self,
-        st: &mut SwapState,
-        tracker: &BudgetTracker,
-        r1: usize,
-        dead: usize,
-        leftover: u32,
-        parent_stairs: &[Arc<Vec<u64>>],
-        rail_drops: &[Vec<(u32, u128)>],
-        rail_comps: &[Vec<Arc<RailEval>>],
-        merged_comps: &[Arc<RailEval>],
-        merged_stairs: &Arc<Vec<u64>>,
-        w_lo: u32,
-    ) {
-        let mut remaining = leftover;
-        // Rails that accepted wires get a rebuilt drop list relative to
-        // their new width (the committed path rebuilds exactly the
-        // accepted rail's list per step); everyone else reads the
-        // shared parent list, truncated to the live budget below.
-        let mut local_drops: Vec<Option<Vec<(u32, u128)>>> = vec![None; rail_drops.len()];
-        local_drops[r1] = Some(staircase_drops(
-            merged_stairs,
-            st.component(r1).expect("merged rail is live").width,
-            leftover,
-        ));
-        let comp_at = |j: usize, wt: u32| -> &Arc<RailEval> {
-            if j == r1 {
-                &merged_comps[(wt - w_lo) as usize]
-            } else {
-                let k = rail_drops[j]
-                    .iter()
-                    .position(|&(a, _)| a == wt)
-                    .expect("rebuilt lists target prefetched widths");
-                &rail_comps[j][k]
-            }
-        };
-        let mut cands: Vec<(usize, u32, u32, u128)> = Vec::new();
-        while remaining > 0 && tracker.within() {
-            cands.clear();
-            for j in (0..rail_drops.len())
-                .filter(|&j| j != r1 && j != dead)
-                .chain([r1])
-            {
-                let cur = st.component(j).expect("live rail").width;
-                let list = local_drops[j].as_deref().unwrap_or(&rail_drops[j]);
-                for &(wt, neg_rate) in list {
-                    let d = wt - cur;
-                    if d > remaining {
-                        break;
-                    }
-                    cands.push((j, wt, d, neg_rate));
-                }
-            }
-            let costed = self.probe(tracker, true, &cands, |&(j, wt, _, _)| {
-                let (t_in, t_si) = self.evaluator.state_cost_swap(st, j, comp_at(j, wt));
-                self.cost_of_parts(t_in, t_si)
-            });
-            let mut best: Option<(usize, u32, u32)> = None;
-            let mut best_key: Option<(u64, u128, u32)> = None;
-            for (&(j, wt, d, neg_rate), cost) in cands.iter().zip(costed) {
-                let Some(cost) = cost else { continue };
-                let key = (cost, neg_rate, d);
-                if best_key.map_or(true, |b| key < b) {
-                    best_key = Some(key);
-                    best = Some((j, wt, d));
-                }
-            }
-            match best {
-                Some((j, wt, d)) => {
-                    self.evaluator
-                        .state_apply_swap(st, j, Arc::clone(comp_at(j, wt)));
-                    remaining -= d;
-                    let stairs = if j == r1 {
-                        merged_stairs
-                    } else {
-                        &parent_stairs[j]
-                    };
-                    local_drops[j] = Some(staircase_drops(stairs, wt, remaining));
-                }
-                None => break,
-            }
         }
     }
 
@@ -909,7 +692,7 @@ impl<'a> TamOptimizer<'a> {
     /// `(T_soc, Σ time_used)` strictly improves. This recovers allocations
     /// the one-directional `distributeFreeWires` cannot reach (e.g. a
     /// starved many-scan-chain core behind a long width plateau).
-    // Invariant: donors keep width >= 1 (filtered on `width() > 1`) and the
+    // Invariant: donors keep width >= 1 (filtered on `width > 1`) and the
     // funded rail only grows, so `with_width` cannot see 0.
     #[allow(clippy::expect_used)]
     fn rebalance_wires(&self, mut rails: Vec<TestRail>, tracker: &BudgetTracker) -> Vec<TestRail> {
@@ -917,11 +700,9 @@ impl<'a> TamOptimizer<'a> {
             if !tracker.tick() {
                 break;
             }
-            let eval = self.eval(&rails);
-            let key = (
-                self.cost_of(&eval),
-                eval.rail_time_used().iter().sum::<u64>(),
-            );
+            let st = self.evaluator.swap_state(&self.eval(&rails));
+            let key_of = |cost: DeltaCost| (self.cost_of(cost.t_in, cost.t_si), cost.rail_used_sum);
+            let key = key_of(st.cost());
             self.publish_best(key.0);
             // All donor selections read the same memoized staircases.
             let staircases: Vec<Arc<Vec<u64>>> = rails
@@ -933,10 +714,11 @@ impl<'a> TamOptimizer<'a> {
             // enumeration order (first strict improvement wins).
             let mut candidates: Vec<(usize, u32)> = Vec::new();
             for b in 0..rails.len() {
+                let width = rails[b].width();
                 let donor_budget: u32 =
-                    rails.iter().map(|r| r.width() - 1).sum::<u32>() - (rails[b].width() - 1);
-                for delta in drop_points(&staircases[b], rails[b].width(), donor_budget) {
-                    candidates.push((b, delta));
+                    rails.iter().map(|r| r.width() - 1).sum::<u32>() - (width - 1);
+                for (target, _) in staircase_drops(&staircases[b], width, donor_budget) {
+                    candidates.push((b, target - width));
                 }
             }
             let costed = self.probe(tracker, false, &candidates, |&(b, delta)| {
@@ -945,44 +727,51 @@ impl<'a> TamOptimizer<'a> {
                 // smallest (zero on a width plateau). The greedy donor
                 // walk is a pure function of the current rails, so the
                 // probe is deterministic wherever it runs.
-                let mut cand = rails.clone();
+                let mut widths: Vec<u32> = rails.iter().map(TestRail::width).collect();
                 let mut funded = 0;
                 let mut touched = BTreeSet::new();
                 while funded < delta {
-                    let donor = (0..cand.len())
-                        .filter(|&o| o != b && cand[o].width() > 1)
+                    let donor = (0..widths.len())
+                        .filter(|&o| o != b && widths[o] > 1)
                         .min_by_key(|&o| {
                             let at = |w: u32| staircases[o][(w - 1) as usize];
-                            at(cand[o].width() - 1) - at(cand[o].width())
+                            at(widths[o] - 1) - at(widths[o])
                         });
                     let Some(o) = donor else { break };
-                    cand[o] = cand[o].with_width(cand[o].width() - 1).expect("width > 1");
+                    widths[o] -= 1;
                     touched.insert(o);
                     funded += 1;
                 }
                 if funded < delta {
                     return None; // not enough donor wires
                 }
-                cand[b] = cand[b]
-                    .with_width(cand[b].width().saturating_add(delta))
-                    .expect("width > 0");
+                widths[b] = widths[b].saturating_add(delta);
                 touched.insert(b);
-                let changed: Vec<usize> = touched.into_iter().collect();
-                let dc = self.evaluator.cost_from(&eval, &changed, &cand);
-                Some((cand, (self.cost_of_delta(&dc), dc.rail_used_sum)))
+                let swaps: Vec<(usize, Option<Arc<RailEval>>)> = touched
+                    .into_iter()
+                    .map(|j| {
+                        let comp = self.evaluator.rail_eval_cached(widths[j], rails[j].cores());
+                        (j, Some(comp))
+                    })
+                    .collect();
+                let mut scratch = st.clone();
+                self.evaluator.swap_apply(&mut scratch, &swaps);
+                Some((widths, key_of(scratch.cost())))
             });
-            let mut best: Option<(Vec<TestRail>, (u64, u64))> = None;
+            let mut best: Option<(Vec<u32>, (u64, u64))> = None;
             for probed in costed {
-                let Some(Some((cand, cand_key))) = probed else {
+                let Some(Some((widths, cand_key))) = probed else {
                     continue;
                 };
                 if cand_key < key && best.as_ref().map_or(true, |&(_, k)| cand_key < k) {
-                    best = Some((cand, cand_key));
+                    best = Some((widths, cand_key));
                 }
             }
-            match best {
-                Some((cand, _)) => rails = cand,
-                None => break,
+            let Some((widths, _)) = best else { break };
+            for (rail, width) in rails.iter_mut().zip(widths) {
+                if rail.width() != width {
+                    *rail = rail.with_width(width).expect("width >= 1");
+                }
             }
         }
         rails
@@ -1012,15 +801,14 @@ impl<'a> TamOptimizer<'a> {
             if !tracker.tick() {
                 return rails;
             }
-            let eval = self.eval(&rails);
-            let current = self.cost_of(&eval);
+            let st = self.evaluator.swap_state(&self.eval(&rails));
+            let current = self.cost_of(st.t_in(), st.t_si());
             self.publish_best(current);
-            let bottlenecks = self.bottleneck_rails(&eval);
             // Enumerate the (source, core, target) moves serially, probe
             // them as one speculative batch, and reduce in enumeration
             // order (first lowest cost wins).
             let mut candidates: Vec<(usize, CoreId, usize)> = Vec::new();
-            for &b in &bottlenecks {
+            for b in st.bottlenecks(self.objective == Objective::Total) {
                 if rails[b].cores().len() < 2 {
                     continue;
                 }
@@ -1032,32 +820,49 @@ impl<'a> TamOptimizer<'a> {
                     }
                 }
             }
-            let costed = self.probe(tracker, false, &candidates, |&(b, core, t)| {
-                let mut cand = rails.clone();
-                let remaining: Vec<CoreId> = cand[b]
+            // The two rails a move rebuilds, ascending by index.
+            let moved = |b: usize, core: CoreId, t: usize| -> [(usize, TestRail); 2] {
+                let source: Vec<CoreId> = rails[b]
                     .cores()
                     .iter()
                     .copied()
                     .filter(|&c| c != core)
                     .collect();
-                cand[b] = TestRail::new(remaining, cand[b].width())
+                let source = TestRail::new(source, rails[b].width())
                     .expect("source keeps at least one core");
-                let mut target_cores = cand[t].cores().to_vec();
-                target_cores.push(core);
-                cand[t] =
-                    TestRail::new(target_cores, cand[t].width()).expect("target keeps its width");
-                let cost = self.cost_of_delta(&self.evaluator.cost_from(&eval, &[b, t], &cand));
-                (cand, cost)
+                let mut target = rails[t].cores().to_vec();
+                target.push(core);
+                let target =
+                    TestRail::new(target, rails[t].width()).expect("target keeps its width");
+                let mut pair = [(b, source), (t, target)];
+                pair.sort_unstable_by_key(|&(j, _)| j);
+                pair
+            };
+            let costed = self.probe(tracker, false, &candidates, |&(b, core, t)| {
+                let swaps = moved(b, core, t).map(|(j, rail)| {
+                    (
+                        j,
+                        Some(self.evaluator.rail_eval_cached(rail.width(), rail.cores())),
+                    )
+                });
+                let mut scratch = st.clone();
+                self.evaluator.swap_apply(&mut scratch, &swaps);
+                self.cost_of(scratch.t_in(), scratch.t_si())
             });
-            let mut best: Option<(Vec<TestRail>, u64)> = None;
-            for probed in costed {
-                let Some((cand, cost)) = probed else { continue };
-                if best.as_ref().map_or(true, |&(_, c)| cost < c) {
-                    best = Some((cand, cost));
+            let mut best: Option<(usize, u64)> = None;
+            for (idx, probed) in costed.into_iter().enumerate() {
+                let Some(cost) = probed else { continue };
+                if best.map_or(true, |(_, c)| cost < c) {
+                    best = Some((idx, cost));
                 }
             }
             match best {
-                Some((cand, cost)) if cost < current => rails = cand,
+                Some((idx, cost)) if cost < current => {
+                    let (b, core, t) = candidates[idx];
+                    for (j, rail) in moved(b, core, t) {
+                        rails[j] = rail;
+                    }
+                }
                 _ => return rails,
             }
         }
@@ -1190,7 +995,8 @@ impl<'a> TamOptimizer<'a> {
             let Some(candidate) = candidate? else {
                 continue;
             };
-            if self.cost_of(candidate.evaluation()) < self.cost_of(best.evaluation()) {
+            let cost = |e: &Evaluation| self.cost_of(e.t_in, e.t_si);
+            if cost(candidate.evaluation()) < cost(best.evaluation()) {
                 best = candidate;
             }
         }
@@ -1252,9 +1058,8 @@ impl<'a> TamOptimizer<'a> {
                     rails[i] = rails[i].merged(&victim, w).expect("width >= 1");
                 }
             } else if n < w_max {
-                (rails, _) =
-                    // soctam-analyze: allow(ARITH-01) -- w_max - n counts TAM wires, bounded by the u32 max_width
-                    self.distribute_free_wires(rails, (w_max - n) as u32, tracker, false, None, None);
+                // soctam-analyze: allow(ARITH-01) -- w_max - n counts TAM wires, bounded by the u32 max_width
+                rails = self.spread_free_wires(rails, (w_max - n) as u32, tracker);
             }
         } else {
             rails = self.packed_start(perturbation);
@@ -1387,37 +1192,35 @@ fn rails_key(rails: &[TestRail], i: usize) -> u128 {
     fx_fingerprint128(&rails[i].cores())
 }
 
-/// The strict drop points of a rail's time staircase: the jump sizes
-/// `d ≤ budget` (with `width + d ≤ max_width`) at which the utilized
-/// time falls below every smaller width. `staircase[w - 1]` is the
-/// rail's `time_used` at width `w`
-/// (see [`Evaluator::rail_used_staircase`]).
-fn drop_points(staircase: &[u64], width: u32, budget: u32) -> Vec<u32> {
-    let mut points = Vec::new();
-    let mut best = staircase[(width - 1) as usize];
-    // soctam-analyze: allow(ARITH-01) -- the staircase has max_width entries, and max_width is u32
-    let limit = budget.min((staircase.len() as u32).saturating_sub(width));
-    for d in 1..=limit {
-        let t = staircase[(width + d - 1) as usize];
-        if t < best {
-            best = t;
-            points.push(d);
-        }
-    }
-    points
+/// A rail's strict drops within a water-filling budget, each with the
+/// memoized component at its target width: `(target width, neg_rate,
+/// component)`, ascending by width (see [`staircase_drops`]).
+type Drops = Vec<(u32, u128, Arc<RailEval>)>;
+
+/// One live rail of a water-filling pass
+/// ([`TamOptimizer::distribute_free_wires`]).
+struct Lane<'a> {
+    /// The rail's `time_used` staircase.
+    stairs: &'a [u64],
+    /// Its strict drops from the pass's starting width.
+    drops: &'a [(u32, u128, Arc<RailEval>)],
 }
 
-/// [`drop_points`] in the absolute-width form the fused merge probes
-/// share across candidates: `(target width, neg_rate)` per strict drop,
-/// with the identical fixed-point `neg_rate` encoding the wire
-/// distribution ranks jumps by. The walk is prefix-stable (each verdict
-/// depends only on earlier staircase entries), so a list built under a
-/// larger budget truncated to `target - width <= remaining` equals the
-/// list built under `remaining` — and because every later strict drop
-/// is also a strict drop from any drop point in between, a list rebuilt
-/// at an accepted drop's width targets a subset of these widths (its
-/// `neg_rate`s are rebuilt relative to the new width, but its
-/// components are already prefetched).
+/// The strict drop points of a rail's time staircase: `(target width,
+/// neg_rate)` for every jump `d ≤ budget` (with `width + d ≤
+/// max_width`) at which the utilized time falls below every smaller
+/// width, ascending. `staircase[w - 1]` is the rail's `time_used` at
+/// width `w` (see [`Evaluator::rail_used_staircase`]); `neg_rate` ranks
+/// jumps by time gained per wire, as a negated fixed-point value so
+/// smaller is better.
+///
+/// The walk is prefix-stable (each verdict depends only on earlier
+/// staircase entries), so a list built under a larger budget truncated
+/// to `target - width <= remaining` equals the list built under
+/// `remaining` — and because every later strict drop is also a strict
+/// drop from any drop point in between, a list rebuilt at an accepted
+/// drop's width targets a subset of these widths (only its `neg_rate`s
+/// change).
 fn staircase_drops(staircase: &[u64], width: u32, budget: u32) -> Vec<(u32, u128)> {
     let before = staircase[(width - 1) as usize];
     // soctam-analyze: allow(ARITH-01) -- the staircase has max_width entries, and max_width is u32
@@ -1429,6 +1232,8 @@ fn staircase_drops(staircase: &[u64], width: u32, budget: u32) -> Vec<(u32, u128
         if after < best {
             best = after;
             let gain = before - after;
+            // Rate comparison without floats: gain/d as a scaled
+            // fixed-point value.
             let neg_rate = u128::MAX - (u128::from(gain) << 32) / u128::from(d);
             out.push((width + d, neg_rate));
         }

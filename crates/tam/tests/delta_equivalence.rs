@@ -1,18 +1,25 @@
-//! Property: incremental evaluation equals full evaluation.
+//! Property: the delta primitive equals full evaluation.
 //!
-//! For random synthetic SOCs, random TestRail architectures and random
-//! rail edits, [`Evaluator::evaluate_from`] (reusing every untouched
-//! rail's component) must equal [`Evaluator::evaluate`] field for field,
-//! and the cost-only [`Evaluator::cost_from`] /
-//! [`Evaluator::cost_from_mapped`] paths must report the same numbers
-//! the assembled evaluation would.
+//! For random synthetic SOCs and random TestRail architectures, a
+//! [`SwapState`] seeded once and driven through a random sequence of
+//! one to six moves — width swaps, merges that leave holes, and core
+//! moves between rails — must agree with a fresh [`Evaluator`] after
+//! every step: [`Evaluator::swap_cost`] before a single-rail swap,
+//! [`SwapState::cost`] after each move, and [`Evaluator::readout`]
+//! field for field against [`Evaluator::evaluate`] of the state's rails
+//! in label order.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::sync::Arc;
 
 use soctam_exec::check::{cases, forall, Gen};
 use soctam_model::synth::{synth_soc, SynthConfig};
 use soctam_model::{CoreId, Soc};
-use soctam_tam::{Evaluator, SiGroupSpec, TestRail, TestRailArchitecture};
+use soctam_tam::{
+    DeltaCost, Evaluation, Evaluator, RailEval, SiGroupSpec, SwapState, TestRail,
+    TestRailArchitecture,
+};
 
 /// A random SOC of `3..=8` cores with modest wrapper geometry.
 fn random_soc(g: &mut Gen) -> Soc {
@@ -62,108 +69,159 @@ fn random_groups(g: &mut Gen, soc: &Soc) -> Vec<SiGroupSpec> {
         .collect()
 }
 
+/// The cost summary an assembled evaluation implies.
+fn cost_of(eval: &Evaluation) -> DeltaCost {
+    DeltaCost {
+        t_in: eval.t_in,
+        t_si: eval.t_si,
+        rail_used_sum: eval
+            .rail_time_used()
+            .iter()
+            .fold(0u64, |acc, &u| acc.saturating_add(u)),
+    }
+}
+
+/// A random live label of `labels`.
+fn live_label(g: &mut Gen, labels: &[Option<TestRail>]) -> usize {
+    let live: Vec<usize> = (0..labels.len()).filter(|&j| labels[j].is_some()).collect();
+    live[g.usize_in(0, live.len())]
+}
+
+/// The state's rails in label order, holes skipped.
+fn rail_list(labels: &[Option<TestRail>]) -> Vec<TestRail> {
+    labels.iter().flatten().cloned().collect()
+}
+
+/// The component of `label`'s rail, sourced from an evaluation of the
+/// architecture it belongs to.
+fn component(eval: &Evaluation, labels: &[Option<TestRail>], label: usize) -> Arc<RailEval> {
+    let pos = labels[..label].iter().flatten().count();
+    Arc::clone(&eval.rail_evals[pos])
+}
+
 #[test]
-fn evaluate_from_matches_full_evaluate() {
-    forall("delta_vs_full", cases(60), |g| {
+fn move_sequences_match_fresh_evaluation() {
+    forall("swap_state_vs_full", cases(60), |g| {
         let soc = random_soc(g);
         let max_width = 8;
         let groups = random_groups(g, &soc);
-        let evaluator = Evaluator::new(&soc, max_width, groups).expect("valid");
-        let mut rails = random_rails(g, &soc, max_width);
-        let base =
-            evaluator.evaluate(&TestRailArchitecture::new(&soc, rails.clone()).expect("valid"));
+        let evaluator = Evaluator::new(&soc, max_width, groups.clone()).expect("valid");
+        let referee = Evaluator::new(&soc, max_width, groups).expect("valid");
+        let evaluate = |ev: &Evaluator<'_>, rails: Vec<TestRail>| {
+            ev.evaluate(&TestRailArchitecture::new(&soc, rails).expect("valid"))
+        };
+        let mut labels: Vec<Option<TestRail>> = random_rails(g, &soc, max_width)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let mut st: SwapState = evaluator.swap_state(&evaluate(&evaluator, rail_list(&labels)));
 
-        // A random edit: rail width change, or moving one core between
-        // rails (two changed indices).
-        let mut changed: Vec<usize> = Vec::new();
-        let r = g.usize_in(0, rails.len());
-        if rails.len() >= 2 && rails[r].cores().len() >= 2 && g.bool_with(0.5) {
-            let mut dst = g.usize_in(0, rails.len() - 1);
-            if dst >= r {
-                dst += 1;
+        for _ in 0..g.usize_in(1, 7) {
+            let live = labels.iter().flatten().count();
+            let kind = g.usize_in(0, 3);
+            let mut swaps: Vec<(usize, Option<Arc<RailEval>>)> = Vec::new();
+            let mut next = labels.clone();
+            if kind == 1 && live >= 2 {
+                // Merge two rails: both partners leave holes and the
+                // merged rail is appended, or it keeps one partner's
+                // label.
+                let a = live_label(g, &labels);
+                let b = loop {
+                    let b = live_label(g, &labels);
+                    if b != a {
+                        break b;
+                    }
+                };
+                let merged = labels[a]
+                    .as_ref()
+                    .unwrap()
+                    .merged(labels[b].as_ref().unwrap(), g.u32_in(1, max_width + 1))
+                    .expect("valid");
+                let label = if g.bool_with(0.5) { next.len() } else { a };
+                next[a] = None;
+                next[b] = None;
+                if label == next.len() {
+                    next.push(None);
+                }
+                next[label] = Some(merged);
+                let target = evaluate(&evaluator, rail_list(&next));
+                for j in [a, b, label] {
+                    if swaps.iter().all(|&(s, _)| s != j) {
+                        swaps.push((j, next[j].as_ref().map(|_| component(&target, &next, j))));
+                    }
+                }
+            } else if kind == 2 && live >= 2 {
+                // Move one core between two rails.
+                let src = live_label(g, &labels);
+                let dst = loop {
+                    let d = live_label(g, &labels);
+                    if d != src {
+                        break d;
+                    }
+                };
+                let from = labels[src].clone().unwrap();
+                if from.cores().len() < 2 {
+                    continue;
+                }
+                let core = from.cores()[g.usize_in(0, from.cores().len())];
+                let kept: Vec<CoreId> = from
+                    .cores()
+                    .iter()
+                    .copied()
+                    .filter(|&c| c != core)
+                    .collect();
+                let to = labels[dst].clone().unwrap();
+                let mut grown = to.cores().to_vec();
+                grown.push(core);
+                next[src] = Some(TestRail::new(kept, from.width()).expect("valid"));
+                next[dst] = Some(TestRail::new(grown, to.width()).expect("valid"));
+                let target = evaluate(&evaluator, rail_list(&next));
+                for j in [src, dst] {
+                    swaps.push((j, Some(component(&target, &next, j))));
+                }
+            } else {
+                // Swap one rail's width.
+                let r = live_label(g, &labels);
+                let w = g.u32_in(1, max_width + 1);
+                next[r] = Some(labels[r].as_ref().unwrap().with_width(w).expect("valid"));
+                let target = evaluate(&evaluator, rail_list(&next));
+                let comp = component(&target, &next, r);
+                // The read-only probe prices the swap before it lands.
+                assert_eq!(
+                    evaluator.swap_cost(&st, r, &comp),
+                    cost_of(&target),
+                    "probe diverged from full evaluation"
+                );
+                swaps.push((r, Some(comp)));
             }
-            let c = rails[r].cores()[g.usize_in(0, rails[r].cores().len())];
-            let src_cores: Vec<CoreId> = rails[r]
-                .cores()
-                .iter()
-                .copied()
-                .filter(|&x| x != c)
-                .collect();
-            let mut dst_cores = rails[dst].cores().to_vec();
-            dst_cores.push(c);
-            rails[r] = TestRail::new(src_cores, rails[r].width()).expect("valid");
-            rails[dst] = TestRail::new(dst_cores, rails[dst].width()).expect("valid");
-            changed.extend([r, dst]);
-        } else {
-            rails[r] = rails[r]
-                .with_width(g.u32_in(1, max_width + 1))
-                .expect("valid");
-            changed.push(r);
+            evaluator.swap_apply(&mut st, &swaps);
+            labels = next;
+
+            let fresh = evaluate(&referee, rail_list(&labels));
+            assert_eq!(st.cost(), cost_of(&fresh), "state cost diverged");
+            assert_eq!((st.t_in(), st.t_si()), (fresh.t_in, fresh.t_si));
+            assert_eq!(evaluator.readout(&st), fresh, "readout diverged");
+            for (j, rail) in labels.iter().enumerate() {
+                assert_eq!(
+                    st.component(j).map(|c| c.width),
+                    rail.as_ref().map(TestRail::width),
+                    "label {j} out of step"
+                );
+            }
         }
-
-        let delta = evaluator.evaluate_from(&base, &changed, &rails);
-        let full =
-            evaluator.evaluate(&TestRailArchitecture::new(&soc, rails.clone()).expect("valid"));
-        assert_eq!(delta, full, "delta evaluation diverged from full");
-
-        // The cost-only path must report the assembled evaluation's
-        // numbers bit for bit.
-        let cost = evaluator.cost_from(&base, &changed, &rails);
-        assert_eq!(cost.t_in, full.t_in);
-        assert_eq!(cost.t_si, full.t_si);
-        assert_eq!(
-            cost.rail_used_sum,
-            full.rail_time_used().iter().sum::<u64>()
-        );
     });
 }
 
 #[test]
-fn mapped_delta_matches_full_evaluate_on_merges() {
-    forall("mapped_delta_vs_full", cases(60), |g| {
+fn seeded_state_reads_out_its_evaluation() {
+    forall("swap_state_seed", cases(60), |g| {
         let soc = random_soc(g);
-        let max_width = 8;
         let groups = random_groups(g, &soc);
-        let evaluator = Evaluator::new(&soc, max_width, groups).expect("valid");
-        let rails = random_rails(g, &soc, max_width);
-        if rails.len() < 2 {
-            return;
-        }
-        let base =
-            evaluator.evaluate(&TestRailArchitecture::new(&soc, rails.clone()).expect("valid"));
-
-        // Merge two random rails, keeping the others: the candidate's
-        // source map sends every kept rail to its old index and the
-        // merged rail to `None`.
-        let a = g.usize_in(0, rails.len());
-        let mut b = g.usize_in(0, rails.len() - 1);
-        if b >= a {
-            b += 1;
-        }
-        let w = g.u32_in(1, max_width + 1);
-        let merged = rails[a].merged(&rails[b], w).expect("valid");
-        let mut cand = Vec::new();
-        let mut source = Vec::new();
-        for (i, rail) in rails.iter().enumerate() {
-            if i != a && i != b {
-                cand.push(rail.clone());
-                source.push(Some(i));
-            }
-        }
-        cand.push(merged);
-        source.push(None);
-
-        let delta = evaluator.evaluate_from_mapped(&base, &source, &cand);
-        let full =
-            evaluator.evaluate(&TestRailArchitecture::new(&soc, cand.clone()).expect("valid"));
-        assert_eq!(delta, full, "mapped delta diverged from full");
-
-        let cost = evaluator.cost_from_mapped(&base, &source, &cand);
-        assert_eq!(cost.t_in, full.t_in);
-        assert_eq!(cost.t_si, full.t_si);
-        assert_eq!(
-            cost.rail_used_sum,
-            full.rail_time_used().iter().sum::<u64>()
-        );
+        let evaluator = Evaluator::new(&soc, 8, groups).expect("valid");
+        let rails = random_rails(g, &soc, 8);
+        let eval = evaluator.evaluate(&TestRailArchitecture::new(&soc, rails).expect("valid"));
+        let st = evaluator.swap_state(&eval);
+        assert_eq!(st.cost(), cost_of(&eval));
+        assert_eq!(evaluator.readout(&st), eval);
     });
 }
