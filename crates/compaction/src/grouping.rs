@@ -47,18 +47,31 @@ pub fn build_core_hypergraph(soc: &Soc, patterns: &[SiPattern]) -> Hypergraph {
 /// # Panics
 ///
 /// Panics if a pattern references a terminal outside `soc`.
-// Invariant: care cores come from the layout, so every pin indexes a declared vertex.
-#[allow(clippy::expect_used)]
 pub fn build_core_hypergraph_packed(
     soc: &Soc,
     set: &PackedSet,
     layout: &PackedLayout,
 ) -> Hypergraph {
+    build_with_edge_of(soc, set, layout).0
+}
+
+/// Pattern `i` with no care cores maps to no edge.
+const NO_EDGE: u32 = u32::MAX;
+
+/// [`build_core_hypergraph_packed`], also returning `edge_of[i]`: the
+/// hyperedge of pattern `i`'s care-core set, or [`NO_EDGE`] when the
+/// pattern has no care cores.
+// Invariant: care cores come from the layout, so every pin indexes a declared vertex.
+#[allow(clippy::expect_used)]
+fn build_with_edge_of(soc: &Soc, set: &PackedSet, layout: &PackedLayout) -> (Hypergraph, Vec<u32>) {
     let mut builder = HypergraphBuilder::new();
     builder.add_vertices(soc.iter().map(|(_, core)| u64::from(core.woc_count())));
     // BTreeMap keeps the distinct care-core sets in sorted order, so the
-    // edge emission below is deterministic without a separate sort.
-    let mut edge_counts: BTreeMap<Vec<u32>, u64> = BTreeMap::new();
+    // edge emission below is deterministic without a separate sort. Each
+    // set maps to (weight, first-seen id); patterns record the first-seen
+    // id, remapped to the sorted edge id once every set is known.
+    let mut edge_counts: BTreeMap<Vec<u32>, (u64, u32)> = BTreeMap::new();
+    let mut edge_of: Vec<u32> = Vec::with_capacity(set.len());
     let mut cores: Vec<CoreId> = Vec::new();
     let mut raw: Vec<u32> = Vec::new();
     for i in 0..set.len() {
@@ -66,23 +79,33 @@ pub fn build_core_hypergraph_packed(
         raw.clear();
         raw.extend(cores.iter().map(|c| c.raw()));
         if raw.is_empty() {
+            edge_of.push(NO_EDGE);
             continue;
         }
         // Borrow-keyed lookup first: the key `Vec` is only allocated for
         // care-core sets seen for the first time.
+        let first_seen = edge_counts.len() as u32;
         match edge_counts.get_mut(raw.as_slice()) {
-            Some(weight) => *weight += 1,
+            Some((weight, id)) => {
+                *weight += 1;
+                edge_of.push(*id);
+            }
             None => {
-                edge_counts.insert(raw.clone(), 1);
+                edge_counts.insert(raw.clone(), (1, first_seen));
+                edge_of.push(first_seen);
             }
         }
     }
-    for (pins, weight) in edge_counts {
-        builder
+    let mut edge_id = vec![0u32; edge_counts.len()];
+    for (pins, (weight, first_seen)) in edge_counts {
+        edge_id[first_seen as usize] = builder
             .add_edge(weight, &pins)
             .expect("care cores are valid vertices");
     }
-    builder.build()
+    for e in edge_of.iter_mut().filter(|e| **e != NO_EDGE) {
+        *e = edge_id[*e as usize];
+    }
+    (builder.build(), edge_of)
 }
 
 /// The assignment of raw patterns to partition buckets.
@@ -126,7 +149,8 @@ impl PatternGrouping {
 ///
 /// # Panics
 ///
-/// Panics if a pattern references a terminal outside `soc`.
+/// Panics if `parts > 1` and a pattern references a terminal outside
+/// `soc`.
 pub fn group_patterns(
     soc: &Soc,
     patterns: &[SiPattern],
@@ -146,7 +170,7 @@ pub fn group_patterns(
 ///
 /// # Panics
 ///
-/// Panics if a pattern references a terminal outside `soc`.
+/// Same contract as [`group_patterns`].
 pub fn group_patterns_packed(
     soc: &Soc,
     set: &PackedSet,
@@ -160,48 +184,50 @@ pub fn group_patterns_packed(
             cores: soc.num_cores(),
         });
     }
-    let (core_part, cut_weight) = if parts <= 1 {
-        (vec![0u32; soc.num_cores()], 0)
-    } else {
-        let hg = build_core_hypergraph_packed(soc, set, layout);
-        let config = PartitionConfig {
-            parts,
-            ..partition_config.clone()
-        };
-        let partition: Partition = hg.partition(&config)?;
-        let cut = partition.cut_weight(&hg);
-        (partition.assignment().to_vec(), cut)
+    if parts <= 1 {
+        return Ok(PatternGrouping {
+            core_part: vec![0u32; soc.num_cores()],
+            parts: 1,
+            buckets: vec![(0..set.len()).collect()],
+            remainder: Vec::new(),
+            cut_weight: 0,
+        });
+    }
+    let (hg, edge_of) = build_with_edge_of(soc, set, layout);
+    let config = PartitionConfig {
+        parts,
+        ..partition_config.clone()
     };
+    let partition: Partition = hg.partition(&config)?;
+    let core_part = partition.assignment().to_vec();
 
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts.max(1) as usize];
+    // A pattern's care cores are exactly its edge's pins, so it fits in one
+    // part iff that edge is uncut; care-core-free patterns go to part 0.
+    let edge_part: Vec<Option<u32>> = (0..hg.num_edges() as u32)
+        .map(|e| (!partition.is_cut(&hg, e)).then(|| core_part[hg.pins(e)[0] as usize]))
+        .collect();
+    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts as usize];
     let mut remainder = Vec::new();
-    let mut cores: Vec<CoreId> = Vec::new();
-    for index in 0..set.len() {
-        layout.care_cores_into(set.get(index), &mut cores);
-        match single_part(&core_part, &cores) {
+    for (index, &e) in edge_of.iter().enumerate() {
+        let part = if e == NO_EDGE {
+            Some(0)
+        } else {
+            edge_part[e as usize]
+        };
+        match part {
             Some(part) => buckets[part as usize].push(index),
             None => remainder.push(index),
         }
     }
+    let cut_weight = partition.cut_weight(&hg);
 
     Ok(PatternGrouping {
         core_part,
-        parts: parts.max(1),
+        parts,
         buckets,
         remainder,
         cut_weight,
     })
-}
-
-/// `Some(part)` when all cores lie in one part, else `None`. Patterns with
-/// no care cores go to part 0.
-fn single_part(core_part: &[u32], cores: &[CoreId]) -> Option<u32> {
-    let mut iter = cores.iter();
-    let first = match iter.next() {
-        Some(c) => core_part[c.index()],
-        None => return Some(0),
-    };
-    iter.all(|c| core_part[c.index()] == first).then_some(first)
 }
 
 #[cfg(test)]

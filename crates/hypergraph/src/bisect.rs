@@ -160,27 +160,13 @@ fn bisect(
     }
     let mut side = best_side.expect("at least one try ran");
 
-    // Project back through the levels, refining at each.
-    for level in levels.iter().rev() {
-        let fine_n = level.map.len();
-        let mut fine_side = vec![false; fine_n];
-        for v in 0..fine_n {
-            fine_side[v] = side[level.map[v] as usize];
-        }
-        side = fine_side;
-        // Note: `level.graph` is the *coarse* graph; the fine graph is the
-        // next level down (or `hg` itself). Identify it for refinement.
-        let fine_graph: &Hypergraph = {
-            let idx = levels
-                .iter()
-                .position(|l| std::ptr::eq(l, level))
-                .expect("level is in the chain");
-            if idx == 0 {
-                hg
-            } else {
-                &levels[idx - 1].graph
-            }
-        };
+    // Project back through the levels, refining at each. `levels[i].graph`
+    // is the coarse graph of level `i`; its fine graph is the previous
+    // level's (or `hg` itself for level 0).
+    for i in (0..levels.len()).rev() {
+        let map = &levels[i].map;
+        side = map.iter().map(|&c| side[c as usize]).collect();
+        let fine_graph = if i == 0 { hg } else { &levels[i - 1].graph };
         let caps = caps_for(
             fine_graph,
             fine_graph.total_vertex_weight(),
@@ -190,7 +176,7 @@ fn bisect(
         refine(fine_graph, &mut side, caps, config.max_fm_passes);
     }
 
-    enforce_min_counts(hg, &mut side, min_counts, config, rng);
+    enforce_min_counts(hg, &mut side, min_counts);
     side
 }
 
@@ -257,16 +243,10 @@ fn grow_initial(hg: &Hypergraph, frac: f64, rng: &mut Rng) -> Vec<bool> {
 }
 
 /// Guarantees each side keeps at least its minimum vertex count by moving
-/// the lightest vertices from the larger side (then re-refining lightly).
+/// the lightest vertices from the larger side.
 // Invariant: while one side is short of its minimum the other holds the surplus, so the donor side is never empty.
 #[allow(clippy::expect_used)]
-fn enforce_min_counts(
-    hg: &Hypergraph,
-    side: &mut [bool],
-    min_counts: (usize, usize),
-    config: &PartitionConfig,
-    _rng: &mut Rng,
-) {
+fn enforce_min_counts(hg: &Hypergraph, side: &mut [bool], min_counts: (usize, usize)) {
     loop {
         let count0 = side.iter().filter(|&&s| !s).count();
         let count1 = side.len() - count0;
@@ -284,7 +264,6 @@ fn enforce_min_counts(
             .expect("donor side cannot be empty while the other is short");
         side[donor as usize] = needy_side;
     }
-    let _ = config;
 }
 
 #[cfg(test)]

@@ -25,6 +25,15 @@ pub enum HypergraphError {
         /// Available vertex count.
         vertices: usize,
     },
+    /// A partition assignment placed a vertex in a part that does not exist.
+    PartOutOfRange {
+        /// The vertex with the offending assignment.
+        vertex: u32,
+        /// The part it was assigned to.
+        part: u32,
+        /// Number of parts in the partition.
+        parts: u32,
+    },
     /// The imbalance tolerance must be non-negative and finite.
     InvalidImbalance {
         /// The offending value.
@@ -42,6 +51,16 @@ impl fmt::Display for HypergraphError {
             HypergraphError::ZeroParts => write!(f, "partition needs at least one part"),
             HypergraphError::PartsExceedVertices { parts, vertices } => {
                 write!(f, "{parts} parts requested for only {vertices} vertices")
+            }
+            HypergraphError::PartOutOfRange {
+                vertex,
+                part,
+                parts,
+            } => {
+                write!(
+                    f,
+                    "vertex {vertex} assigned to part {part}, but the partition has only {parts} parts"
+                )
             }
             HypergraphError::InvalidImbalance { imbalance } => {
                 write!(
@@ -67,5 +86,18 @@ mod tests {
         };
         assert!(err.to_string().contains('8'));
         assert!(err.to_string().contains('3'));
+    }
+
+    #[test]
+    fn part_out_of_range_names_vertex_part_and_parts() {
+        let err = HypergraphError::PartOutOfRange {
+            vertex: 1,
+            part: 5,
+            parts: 2,
+        };
+        assert_eq!(
+            err.to_string(),
+            "vertex 1 assigned to part 5, but the partition has only 2 parts"
+        );
     }
 }

@@ -36,9 +36,42 @@ pub(crate) fn cut_weight(hg: &Hypergraph, side: &[bool]) -> u64 {
     cut
 }
 
+/// The gain, in units of an edge's weight, of moving one pin on side `s`
+/// of an edge whose per-side pin counts are `c`: +1 when the move uncuts
+/// the edge, -1 when it cuts it, 0 otherwise. Single-pin edges never
+/// contribute.
+fn pin_gain(c: [u32; 2], s: usize) -> i64 {
+    if c[0] + c[1] < 2 {
+        0
+    } else if c[s] == 1 {
+        1
+    } else if c[1 - s] == 0 {
+        -1
+    } else {
+        0
+    }
+}
+
+/// The FM gain of moving `v` across: the summed pin gains over its
+/// incident edges.
+fn gain_of(hg: &Hypergraph, v: u32, side: &[bool], counts: &[[u32; 2]]) -> i64 {
+    let s = usize::from(side[v as usize]);
+    hg.incident_edges(v)
+        .iter()
+        .map(|&e| hg.edge_weight(e) as i64 * pin_gain(counts[e as usize], s))
+        .sum()
+}
+
 /// One FM pass: tentatively moves every vertex once (highest gain first,
-/// balance permitting), then rolls back to the best prefix. Returns the cut
-/// improvement achieved (0 when the pass failed to improve).
+/// lowest id on ties, balance permitting), then rolls back to the best
+/// prefix. Returns the cut improvement achieved (0 when the pass failed to
+/// improve).
+///
+/// Gains are maintained by exact delta updates: a move only changes the
+/// pin counts of the mover's incident edges, and each such edge shifts the
+/// gain of every pin on side `x` by the change in `pin_gain(counts, x)`.
+/// A move therefore costs O(Σ|e|) over the mover's edges, not the
+/// O(deg · Σ|e|) of recomputing every touched pin's gain from scratch.
 fn fm_pass(hg: &Hypergraph, side: &mut [bool], caps: [u64; 2], initial_cut: u64) -> u64 {
     let n = hg.num_vertices();
     let num_edges = hg.num_edges();
@@ -55,24 +88,9 @@ fn fm_pass(hg: &Hypergraph, side: &mut [bool], caps: [u64; 2], initial_cut: u64)
         weights[usize::from(side[v])] += hg.vertex_weight(v as u32);
     }
 
-    let gain_of = |v: u32, side: &[bool], counts: &[[u32; 2]]| -> i64 {
-        let s = usize::from(side[v as usize]);
-        let mut gain = 0i64;
-        for &e in hg.incident_edges(v) {
-            let c = counts[e as usize];
-            if c[s] + c[1 - s] < 2 {
-                continue; // single-pin edge
-            }
-            if c[s] == 1 {
-                gain += hg.edge_weight(e) as i64; // move uncuts the edge
-            } else if c[1 - s] == 0 {
-                gain -= hg.edge_weight(e) as i64; // move cuts the edge
-            }
-        }
-        gain
-    };
-
-    let mut gains: Vec<i64> = (0..n as u32).map(|v| gain_of(v, side, &counts)).collect();
+    let mut gains: Vec<i64> = (0..n as u32)
+        .map(|v| gain_of(hg, v, side, &counts))
+        .collect();
     let mut moved = vec![false; n];
     let mut sequence: Vec<u32> = Vec::with_capacity(n);
     let mut cumulative: i64 = 0;
@@ -96,21 +114,29 @@ fn fm_pass(hg: &Hypergraph, side: &mut [bool], caps: [u64; 2], initial_cut: u64)
             }
         }
         let Some(v) = chosen else { break };
+        debug_assert_eq!(chosen_gain, gain_of(hg, v, side, &counts));
 
-        // Apply the move and update edge counts + neighbour gains.
+        // Apply the move, then shift the gains of the unmoved pins of every
+        // incident edge whose contribution changed.
         let s = usize::from(side[v as usize]);
         moved[v as usize] = true;
         side[v as usize] = !side[v as usize];
         weights[s] -= hg.vertex_weight(v);
         weights[1 - s] += hg.vertex_weight(v);
         for &e in hg.incident_edges(v) {
-            counts[e as usize][s] -= 1;
-            counts[e as usize][1 - s] += 1;
-        }
-        for &e in hg.incident_edges(v) {
+            let before = counts[e as usize];
+            let mut after = before;
+            after[s] -= 1;
+            after[1 - s] += 1;
+            counts[e as usize] = after;
+            let delta = [0, 1].map(|x| pin_gain(after, x) - pin_gain(before, x));
+            if delta == [0, 0] {
+                continue;
+            }
+            let w = hg.edge_weight(e) as i64;
             for &u in hg.pins(e) {
                 if !moved[u as usize] {
-                    gains[u as usize] = gain_of(u, side, &counts);
+                    gains[u as usize] += w * delta[usize::from(side[u as usize])];
                 }
             }
         }
@@ -139,6 +165,126 @@ fn fm_pass(hg: &Hypergraph, side: &mut [bool], caps: [u64; 2], initial_cut: u64)
 mod tests {
     use super::*;
     use crate::HypergraphBuilder;
+    use soctam_exec::Rng;
+
+    /// The full-recompute FM pass the delta update replaced: after every
+    /// move, each unmoved pin of each incident edge has its gain recomputed
+    /// from scratch. Kept as the referee of `fm_pass`.
+    fn fm_pass_reference(
+        hg: &Hypergraph,
+        side: &mut [bool],
+        caps: [u64; 2],
+        initial_cut: u64,
+    ) -> u64 {
+        let n = hg.num_vertices();
+        let num_edges = hg.num_edges();
+
+        let mut counts = vec![[0u32; 2]; num_edges];
+        for e in 0..num_edges as u32 {
+            for &v in hg.pins(e) {
+                counts[e as usize][usize::from(side[v as usize])] += 1;
+            }
+        }
+        let mut weights = [0u64; 2];
+        for v in 0..n {
+            weights[usize::from(side[v])] += hg.vertex_weight(v as u32);
+        }
+
+        let gain_of = |v: u32, side: &[bool], counts: &[[u32; 2]]| -> i64 {
+            let s = usize::from(side[v as usize]);
+            let mut gain = 0i64;
+            for &e in hg.incident_edges(v) {
+                let c = counts[e as usize];
+                if c[s] + c[1 - s] < 2 {
+                    continue; // single-pin edge
+                }
+                if c[s] == 1 {
+                    gain += hg.edge_weight(e) as i64; // move uncuts the edge
+                } else if c[1 - s] == 0 {
+                    gain -= hg.edge_weight(e) as i64; // move cuts the edge
+                }
+            }
+            gain
+        };
+
+        let mut gains: Vec<i64> = (0..n as u32).map(|v| gain_of(v, side, &counts)).collect();
+        let mut moved = vec![false; n];
+        let mut sequence: Vec<u32> = Vec::with_capacity(n);
+        let mut cumulative: i64 = 0;
+        let mut best_cumulative: i64 = 0;
+        let mut best_prefix: usize = 0;
+
+        for _ in 0..n {
+            let mut chosen: Option<u32> = None;
+            let mut chosen_gain = i64::MIN;
+            for v in 0..n as u32 {
+                if moved[v as usize] {
+                    continue;
+                }
+                let s = usize::from(side[v as usize]);
+                let w = hg.vertex_weight(v);
+                let admissible = weights[1 - s] + w <= caps[1 - s] || weights[s] > caps[s];
+                if admissible && gains[v as usize] > chosen_gain {
+                    chosen = Some(v);
+                    chosen_gain = gains[v as usize];
+                }
+            }
+            let Some(v) = chosen else { break };
+
+            let s = usize::from(side[v as usize]);
+            moved[v as usize] = true;
+            side[v as usize] = !side[v as usize];
+            weights[s] -= hg.vertex_weight(v);
+            weights[1 - s] += hg.vertex_weight(v);
+            for &e in hg.incident_edges(v) {
+                counts[e as usize][s] -= 1;
+                counts[e as usize][1 - s] += 1;
+            }
+            for &e in hg.incident_edges(v) {
+                for &u in hg.pins(e) {
+                    if !moved[u as usize] {
+                        gains[u as usize] = gain_of(u, side, &counts);
+                    }
+                }
+            }
+
+            cumulative += chosen_gain;
+            sequence.push(v);
+            if cumulative > best_cumulative {
+                best_cumulative = cumulative;
+                best_prefix = sequence.len();
+            }
+        }
+
+        for &v in &sequence[best_prefix..] {
+            side[v as usize] = !side[v as usize];
+        }
+        assert_eq!(
+            initial_cut as i64 - best_cumulative,
+            cut_weight(hg, side) as i64
+        );
+        best_cumulative as u64
+    }
+
+    /// A random weighted hypergraph with 2..=40 vertices and edges of 1..=8
+    /// pins, including single-pin edges and runs of parallel edges.
+    fn random_hypergraph(rng: &mut Rng) -> Hypergraph {
+        let n = rng.range_u32_inclusive(2, 40);
+        let mut b = HypergraphBuilder::new();
+        for _ in 0..n {
+            b.add_vertex(rng.range_u64_inclusive(1, 9));
+        }
+        let mut last: Vec<u32> = vec![0];
+        for _ in 0..rng.range_usize_inclusive(0, 4 * n as usize) {
+            if !rng.chance(0.25) {
+                let size = rng.range_u32_inclusive(1, 8.min(n));
+                last = (0..size).map(|_| rng.range_u32(0, n)).collect();
+            }
+            b.add_edge(rng.range_u64_inclusive(1, 20), &last)
+                .expect("pins are in range");
+        }
+        b.build()
+    }
 
     fn clusters() -> Hypergraph {
         let mut b = HypergraphBuilder::new();
@@ -183,6 +329,32 @@ mod tests {
         let before = cut_weight(&hg, &side);
         let after = refine(&hg, &mut side, [5, 5], 16);
         assert!(after <= before);
+    }
+
+    #[test]
+    fn delta_gains_match_full_recompute() {
+        let mut rng = Rng::seed_from_u64(0xf1d0);
+        for case in 0..3_000 {
+            let hg = random_hypergraph(&mut rng);
+            let n = hg.num_vertices();
+            let mut side: Vec<bool> = (0..n).map(|_| rng.chance(0.5)).collect();
+            // Caps from well below the balanced share up to the total: tight
+            // caps and random starts often leave a side overweight.
+            let total = hg.total_vertex_weight();
+            let caps = [(); 2].map(|()| rng.range_u64_inclusive(total / 3, total));
+            let mut reference = side.clone();
+            let mut cut = cut_weight(&hg, &side);
+            for pass in 0..8 {
+                let got = fm_pass(&hg, &mut side, caps, cut);
+                let want = fm_pass_reference(&hg, &mut reference, caps, cut);
+                assert_eq!(got, want, "case {case} pass {pass}: improvement");
+                assert_eq!(side, reference, "case {case} pass {pass}: sides");
+                if got == 0 {
+                    break;
+                }
+                cut -= got;
+            }
+        }
     }
 
     #[test]

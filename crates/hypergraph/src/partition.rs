@@ -67,17 +67,18 @@ impl Partition {
     ///
     /// # Errors
     ///
-    /// [`HypergraphError::ZeroParts`] when `parts == 0`; every assignment
-    /// entry must be `< parts` or [`HypergraphError::PinOutOfRange`] is
-    /// returned (reusing the pin error to avoid a new variant).
+    /// [`HypergraphError::ZeroParts`] when `parts == 0`, and
+    /// [`HypergraphError::PartOutOfRange`] for the first assignment entry
+    /// that is not `< parts`.
     pub fn from_assignment(parts: u32, assignment: Vec<u32>) -> Result<Self, HypergraphError> {
         if parts == 0 {
             return Err(HypergraphError::ZeroParts);
         }
-        if let Some(&bad) = assignment.iter().find(|&&p| p >= parts) {
-            return Err(HypergraphError::PinOutOfRange {
-                vertex: bad,
-                vertices: parts as usize,
+        if let Some((vertex, &part)) = assignment.iter().enumerate().find(|(_, &p)| p >= parts) {
+            return Err(HypergraphError::PartOutOfRange {
+                vertex: vertex as u32,
+                part,
+                parts,
             });
         }
         Ok(Partition { parts, assignment })
@@ -234,8 +235,18 @@ mod tests {
 
     #[test]
     fn invalid_assignment_rejected() {
-        assert!(Partition::from_assignment(2, vec![0, 2]).is_err());
-        assert!(Partition::from_assignment(0, vec![]).is_err());
+        assert_eq!(
+            Partition::from_assignment(2, vec![0, 1, 5, 2]),
+            Err(HypergraphError::PartOutOfRange {
+                vertex: 2,
+                part: 5,
+                parts: 2
+            })
+        );
+        assert_eq!(
+            Partition::from_assignment(0, vec![]),
+            Err(HypergraphError::ZeroParts)
+        );
     }
 
     #[test]
