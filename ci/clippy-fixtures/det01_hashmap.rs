@@ -1,6 +1,6 @@
 //@ crate: compaction
 //@ path: src/det01.rs
-//! DET-01: map iteration in a deterministic crate.
+//! disallowed_types: map iteration in a deterministic crate.
 use std::collections::HashMap;
 
 /// Counts duplicates; map iteration order leaks into the output.

@@ -1,12 +1,12 @@
 //@ crate: patterns
 //@ path: src/det02.rs
-//! DET-02: wall-clock and thread identity in pure compute code.
+//! disallowed_methods: wall clock and thread identity.
 
 /// Seeds from the clock and the worker id: nondeterministic twice over.
 pub fn bad_seed() -> u64 {
     let t = std::time::Instant::now();
     let _ = std::time::SystemTime::now();
     let id = std::thread::current().id();
-    drop((t, id));
+    let _ = (t, id);
     0
 }

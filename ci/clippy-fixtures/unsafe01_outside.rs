@@ -1,6 +1,6 @@
 //@ crate: tam
 //@ path: src/danger.rs
-//! UNSAFE-01: `unsafe` outside the sanctioned pool module.
+//! unsafe_code: `unsafe` outside the sanctioned modules.
 
 /// Reads the first element without a bounds check.
 pub fn first(xs: &[u64]) -> u64 {

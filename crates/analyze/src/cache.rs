@@ -22,7 +22,7 @@ use crate::ast::CallKind;
 use crate::facts::{Event, FileFacts, FindingRec, FnFact, WaiverRec};
 
 /// Format version tag; first line of every cache file.
-const VERSION: &str = "soctam-analyze-facts/1";
+const VERSION: &str = "soctam-analyze-facts/2";
 
 /// Cache file path for a workspace-relative display path.
 fn entry_path(dir: &Path, display_path: &str) -> PathBuf {
@@ -304,7 +304,7 @@ mod tests {
             rel_path: "src/x.rs".into(),
             display_path: "crates/serve/src/x.rs".into(),
             source: "//! doc\nuse std::collections::BTreeMap;\n\
-                     // soctam-analyze: allow(DET-01) -- has a\ttab reason\n\
+                     // soctam-analyze: allow(DET-03) -- has a\ttab reason\n\
                      fn f(m: &Mutex<u32>) { let _g = m.lock(); g(1 + 2); }\n"
                 .into(),
         };

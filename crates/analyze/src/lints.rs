@@ -6,7 +6,7 @@
 //! the form
 //!
 //! ```text
-//! // soctam-analyze: allow(DET-01) -- <written justification>
+//! // soctam-analyze: allow(ARITH-01) -- <written justification>
 //! // soctam-analyze: allow-file(DET-03) -- <written justification>
 //! ```
 //!
@@ -43,7 +43,8 @@ impl Severity {
 /// A registered lint.
 #[derive(Clone, Copy, Debug)]
 pub struct LintInfo {
-    /// Stable ID (`DET-01`, ...). Never renumbered.
+    /// Stable ID (`DET-03`, ...). Never renumbered; retired IDs are not
+    /// reused.
     pub id: &'static str,
     /// Severity of its findings.
     pub severity: Severity,
@@ -57,20 +58,6 @@ pub struct LintInfo {
 /// `match` arm in [`analyze`] — see DESIGN.md §13.
 pub const LINTS: &[LintInfo] = &[
     LintInfo {
-        id: "DET-01",
-        severity: Severity::Error,
-        summary: "HashMap/HashSet in non-test code of a deterministic crate \
-                  (iteration order is a nondeterminism hazard)",
-        scope: "src/ of tam, compaction, patterns, wrapper, hypergraph, model",
-    },
-    LintInfo {
-        id: "DET-02",
-        severity: Severity::Error,
-        summary: "Instant/SystemTime/thread::current() reachable from pure \
-                  compute code",
-        scope: "src/ of deterministic crates + core, tester, exec (metrics.rs waived)",
-    },
-    LintInfo {
         id: "DET-03",
         severity: Severity::Error,
         summary: "float types or literals in cost/time math (paper arithmetic \
@@ -83,13 +70,6 @@ pub const LINTS: &[LintInfo] = &[
         summary: "bare narrowing `as` cast, or unchecked +/* on a test-time \
                   quantity (use the saturating helpers)",
         scope: "src/ of tam, wrapper",
-    },
-    LintInfo {
-        id: "UNSAFE-01",
-        severity: Severity::Error,
-        summary: "unsafe outside exec::pool, or an unsafe block/fn/impl \
-                  without a SAFETY: comment",
-        scope: "whole workspace (corpus fixtures excluded)",
     },
     LintInfo {
         id: "LOCK-01",
@@ -120,14 +100,6 @@ pub const LINTS: &[LintInfo] = &[
         summary: "unchecked +/*/narrowing-as on the result of a call that \
                   resolves to a pattern-count/width/test-time function",
         scope: "src/ of tam, wrapper, patterns",
-    },
-    LintInfo {
-        id: "HEADER-01",
-        severity: Severity::Error,
-        summary: "crate root missing the unified lint header \
-                  (forbid(unsafe_code) / deny(unsafe_op_in_unsafe_fn) for exec, \
-                  warn(missing_docs), test panic-lint exemption)",
-        scope: "every crate's src/lib.rs",
     },
     LintInfo {
         id: "WAIVER-01",
@@ -209,31 +181,6 @@ pub struct Analysis {
     /// Stale waivers, for `--fix-stale-waivers`.
     pub stale: Vec<StaleWaiver>,
 }
-
-/// Crates whose outputs must be bit-identical: DET-01 scope.
-const DET_CRATES: &[&str] = &[
-    "tam",
-    "compaction",
-    "patterns",
-    "wrapper",
-    "hypergraph",
-    "model",
-];
-
-/// DET-02 scope: pure compute crates (reachable from the deterministic
-/// pipeline). `exec/src/metrics.rs` and the whole `bench` crate are
-/// waived by construction — wall-clock timing is their job.
-const CLOCK_FREE_CRATES: &[&str] = &[
-    "tam",
-    "compaction",
-    "patterns",
-    "wrapper",
-    "hypergraph",
-    "model",
-    "core",
-    "tester",
-    "exec",
-];
 
 /// DET-03 / ARITH-01 scope: the crates holding the paper's cost/time
 /// arithmetic.
@@ -439,12 +386,8 @@ impl<'a> FileCtx<'a> {
 pub(crate) fn local_findings(file: &SourceFile, toks: &[Tok]) -> Vec<crate::facts::FindingRec> {
     let ctx = FileCtx::new(file, toks);
     let mut raw = Vec::new();
-    det01(&ctx, &mut raw);
-    det02(&ctx, &mut raw);
     det03(&ctx, &mut raw);
     arith01(&ctx, &mut raw);
-    unsafe01(&ctx, &mut raw);
-    header01(&ctx, &mut raw);
     raw.into_iter()
         .map(|f| crate::facts::FindingRec {
             lint: f.lint.to_string(),
@@ -647,63 +590,6 @@ pub(crate) fn analyze_facts(facts: &[crate::facts::FileFacts]) -> Analysis {
     out
 }
 
-fn det01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if !ctx.is_src || !DET_CRATES.contains(&ctx.file.crate_dir.as_str()) {
-        return;
-    }
-    for (i, tok) in ctx.toks.iter().enumerate() {
-        if tok.kind == TokKind::Ident
-            && (tok.text == "HashMap" || tok.text == "HashSet")
-            && ctx.lintable(i)
-        {
-            out.push(ctx.finding(
-                "DET-01",
-                tok.line,
-                format!(
-                    "`{}` in deterministic crate `{}`: iteration order is \
-                     nondeterministic — iterate sorted, use BTreeMap/BTreeSet, \
-                     or waive with an order-safety argument",
-                    tok.text, ctx.file.crate_dir
-                ),
-            ));
-        }
-    }
-}
-
-fn det02(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if !ctx.is_src || !CLOCK_FREE_CRATES.contains(&ctx.file.crate_dir.as_str()) {
-        return;
-    }
-    // The metrics module is the sanctioned wall-clock sink.
-    if ctx.file.crate_dir == "exec" && ctx.file.rel_path == "src/metrics.rs" {
-        return;
-    }
-    for (i, tok) in ctx.toks.iter().enumerate() {
-        if tok.kind != TokKind::Ident || !ctx.lintable(i) {
-            continue;
-        }
-        let hazard = match tok.text.as_str() {
-            "Instant" | "SystemTime" => Some(tok.text.as_str()),
-            "thread" => {
-                let nxt = |off: usize| ctx.toks.get(i + off).map(|t| t.text.as_str()).unwrap_or("");
-                (nxt(1) == ":" && nxt(2) == ":" && nxt(3) == "current").then_some("thread::current")
-            }
-            _ => None,
-        };
-        if let Some(what) = hazard {
-            out.push(ctx.finding(
-                "DET-02",
-                tok.line,
-                format!(
-                    "wall-clock/thread-identity source `{what}` in pure compute \
-                     crate `{}` — results must not depend on time or scheduling",
-                    ctx.file.crate_dir
-                ),
-            ));
-        }
-    }
-}
-
 fn det03(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     if !ctx.is_src || !TIME_MATH_CRATES.contains(&ctx.file.crate_dir.as_str()) {
         return;
@@ -808,143 +694,6 @@ fn arith01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-/// The single file where `unsafe` is tolerated, given a SAFETY comment.
-const UNSAFE_SANCTUARY: (&str, &str) = ("exec", "src/pool.rs");
-
-fn unsafe01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let sanctioned =
-        ctx.file.crate_dir == UNSAFE_SANCTUARY.0 && ctx.file.rel_path == UNSAFE_SANCTUARY.1;
-    let code: Vec<usize> = (0..ctx.toks.len())
-        .filter(|&i| !ctx.toks[i].is_comment())
-        .collect();
-    for (p, &i) in code.iter().enumerate() {
-        let tok = &ctx.toks[i];
-        if tok.kind != TokKind::Ident || tok.text != "unsafe" {
-            continue;
-        }
-        let next = code.get(p + 1).map(|&j| ctx.toks[j].text.as_str());
-        // `unsafe fn(` in type position is a fn-pointer type, not a
-        // declaration — no body, nothing to justify at this site.
-        if next == Some("fn") && code.get(p + 2).map(|&j| ctx.toks[j].text.as_str()) == Some("(") {
-            continue;
-        }
-        if !sanctioned {
-            out.push(
-                ctx.finding(
-                    "UNSAFE-01",
-                    tok.line,
-                    "`unsafe` outside `exec::pool` — the pool is the workspace's \
-                 only sanctioned unsafe module"
-                        .to_string(),
-                ),
-            );
-            continue;
-        }
-        if !has_safety_comment(ctx.toks, i, tok.line) {
-            out.push(ctx.finding(
-                "UNSAFE-01",
-                tok.line,
-                "`unsafe` without a `SAFETY:` comment on the preceding lines".to_string(),
-            ));
-        }
-    }
-}
-
-/// Looks for a `SAFETY:` comment in the contiguous comment block ending
-/// directly above `line` (or on `line` itself).
-fn has_safety_comment(toks: &[Tok], unsafe_idx: usize, line: usize) -> bool {
-    let mut expected = line;
-    for tok in toks[..unsafe_idx].iter().rev() {
-        if tok.line + 1 < expected {
-            break;
-        }
-        if tok.is_comment() {
-            if tok.text.contains("SAFETY:") || tok.text.contains("# Safety") {
-                return true;
-            }
-            expected = tok.line;
-        } else if tok.line == line {
-            // Code earlier on the same line: keep scanning upward.
-            continue;
-        } else {
-            break;
-        }
-    }
-    false
-}
-
-fn header01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.file.rel_path != "src/lib.rs" {
-        return;
-    }
-    // Reconstruct inner attributes `#![...]`, whitespace-normalized.
-    let code: Vec<usize> = (0..ctx.toks.len())
-        .filter(|&i| !ctx.toks[i].is_comment())
-        .collect();
-    let mut attrs = Vec::new();
-    let mut p = 0usize;
-    while p + 2 < code.len() {
-        if ctx.toks[code[p]].text == "#" && ctx.toks[code[p + 1]].text == "!" {
-            let end = skip_attr_bang(ctx.toks, &code, p);
-            let text: String = code[p..end]
-                .iter()
-                .map(|&j| ctx.toks[j].text.as_str())
-                .collect();
-            attrs.push(text);
-            p = end;
-        } else {
-            p += 1;
-        }
-    }
-    let have = |needle: &str| attrs.iter().any(|a| a.contains(needle));
-    let mut missing = Vec::new();
-    if ctx.file.crate_dir == "exec" {
-        // The sole sanctioned unsafe crate trades forbid(unsafe_code)
-        // for a strict unsafe-block hygiene lint.
-        if !have("deny(unsafe_op_in_unsafe_fn)") {
-            missing.push("#![deny(unsafe_op_in_unsafe_fn)]");
-        }
-    } else if !have("forbid(unsafe_code)") {
-        missing.push("#![forbid(unsafe_code)]");
-    }
-    if !have("warn(missing_docs)") {
-        missing.push("#![warn(missing_docs)]");
-    }
-    if !have("cfg_attr(test,allow(clippy::unwrap_used,clippy::expect_used))")
-        && !have("allow(clippy::unwrap_used,clippy::expect_used)")
-    {
-        missing.push("#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]");
-    }
-    for attr in missing {
-        out.push(ctx.finding(
-            "HEADER-01",
-            1,
-            format!("crate root is missing the unified lint header attribute `{attr}`"),
-        ));
-    }
-}
-
-/// Skips an inner attribute `#![...]` starting at code position `p`;
-/// returns the code position just past the closing `]`.
-fn skip_attr_bang(toks: &[Tok], code: &[usize], p: usize) -> usize {
-    let mut j = p + 2; // at `[`
-    let mut depth = 0i32;
-    while let Some(&ti) = code.get(j) {
-        match toks[ti].text.as_str() {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    j
 }
 
 /// If the code token at position `p` (an index into `code`) is a lock

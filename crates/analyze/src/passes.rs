@@ -19,7 +19,7 @@ use crate::lints::{Finding, PathStep};
 const DET10_EXEMPT_CRATES: &[&str] = &["bench"];
 
 /// The sanctioned wall-clock module: sources inside it never taint
-/// (mirrors DET-02's carve-out).
+/// (mirrors its `clippy::disallowed_methods` allow).
 const DET10_EXEMPT_FILES: &[(&str, &str)] = &[("exec", "src/metrics.rs")];
 
 /// LOCK-02 scope: the crates owning the workspace's locks.

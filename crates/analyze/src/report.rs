@@ -175,7 +175,7 @@ mod tests {
             analysis: Analysis {
                 findings: vec![
                     Finding {
-                        lint: "DET-01",
+                        lint: "DET-03",
                         file: "crates/x/src/a.rs".into(),
                         line: 3,
                         message: "a \"quoted\" hazard".into(),
@@ -225,7 +225,7 @@ mod tests {
     fn text_counts_errors_and_prints_paths() {
         let text = render(&sample(), Format::Text);
         assert!(text.contains("2 errors"));
-        assert!(text.contains("DET-01"));
+        assert!(text.contains("DET-03"));
         assert!(text.contains("    via srcy (crates/x/src/b.rs:4)"));
         assert!(text.contains("(4 cached)"));
     }

@@ -91,7 +91,7 @@ fn waived_fixture_records_the_justification() {
     let path = corpus_dir().join("waived_clean.rs");
     let source = fs::read_to_string(&path).expect("fixture readable");
     let file = SourceFile {
-        display_path: "crates/hypergraph/src/waived.rs".to_string(),
+        display_path: "crates/tam/src/waived.rs".to_string(),
         crate_dir: directive(&source, "crate"),
         rel_path: directive(&source, "path"),
         source,
@@ -99,10 +99,10 @@ fn waived_fixture_records_the_justification() {
     let analysis = analyze(std::slice::from_ref(&file));
     assert!(analysis.findings.is_empty());
     assert_eq!(analysis.waived.len(), 1);
-    assert_eq!(analysis.waived[0].lint, "DET-01");
+    assert_eq!(analysis.waived[0].lint, "ARITH-01");
     assert_eq!(
         analysis.waived[0].waiver_reason.as_deref(),
-        Some("insert/len only, never iterated")
+        Some("k is a rail count, bounded by the core count")
     );
 }
 

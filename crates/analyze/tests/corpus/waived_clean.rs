@@ -1,11 +1,9 @@
-//@ crate: hypergraph
+//@ crate: tam
 //@ path: src/waived.rs
-//! A correctly waived DET-01 finding: no unwaived findings at all.
-use std::collections::HashSet;
+//! A correctly waived ARITH-01 finding: no unwaived findings at all.
 
-/// Membership-only set: iteration order is never observed.
-pub fn distinct(xs: &[u32]) -> usize {
-    // soctam-analyze: allow(DET-01) -- insert/len only, never iterated
-    let seen: HashSet<u32> = xs.iter().copied().collect();
-    seen.len()
+/// Narrows a rail index; rail counts are bounded by the core count.
+pub fn rail_id(k: usize) -> u32 {
+    // soctam-analyze: allow(ARITH-01) -- k is a rail count, bounded by the core count
+    k as u32
 }

@@ -2,11 +2,11 @@
 //@ path: src/waivers.rs
 //! WAIVER-01: stale, malformed and unknown-lint waivers.
 
-// soctam-analyze: allow(DET-01) -- stale: nothing below uses a map
-/// Does nothing map-related.
+// soctam-analyze: allow(DET-03) -- stale: nothing below uses a float
+/// Does nothing float-related.
 pub fn quiet() {}
 
-// soctam-analyze: allow(DET-01)
+// soctam-analyze: allow(DET-03)
 /// Missing the `-- reason` clause.
 pub fn missing_reason() {}
 

@@ -50,14 +50,14 @@ fn fixing_stale_waivers_twice_is_a_byte_level_noop() {
         "idempotent",
         "//! Demo crate.\n\
          \n\
-         // soctam-analyze: allow(DET-01) -- stale: nothing fires here\n\
+         // soctam-analyze: allow(ARITH-01) -- stale: nothing fires here\n\
          pub fn quiet() -> u32 {\n\
              7 // soctam-analyze: allow(DET-03) -- stale trailing waiver\n\
          }\n\
          \n\
          /// Mentions the tag in a string, which must survive untouched.\n\
          pub fn decoy() -> &'static str {\n\
-             \"// soctam-analyze: allow(DET-01) -- not a waiver\"\n\
+             \"// soctam-analyze: allow(ARITH-01) -- not a waiver\"\n\
          }\n",
     );
     let lib = root.join("crates/demo/src/lib.rs");
@@ -77,7 +77,7 @@ fn fixing_stale_waivers_twice_is_a_byte_level_noop() {
         "trailing waiver removed"
     );
     assert!(
-        after_first.contains("\"// soctam-analyze: allow(DET-01) -- not a waiver\""),
+        after_first.contains("\"// soctam-analyze: allow(ARITH-01) -- not a waiver\""),
         "string-literal decoy untouched"
     );
     assert!(

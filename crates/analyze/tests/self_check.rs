@@ -46,14 +46,13 @@ fn injected_hash_iteration_reaching_a_fingerprint_is_caught() {
         display_path: "crates/tam/src/injected.rs".to_string(),
         source: "use soctam_exec::FpKey;\n\
                  use std::collections::HashMap;\n\
-                 // soctam-analyze: allow-file(DET-01) -- injected fixture isolates the DET-10 signal\n\
                  fn hash_order(m: &HashMap<u64, u64>) -> Vec<u64> {\n\
                      m.keys().copied().collect()\n\
                  }\n\
                  pub fn group_key(m: &HashMap<u64, u64>) -> FpKey {\n\
                      FpKey::new(&hash_order(m))\n\
                  }\n"
-            .to_string(),
+        .to_string(),
     });
     files.sort_by(|a, b| a.display_path.cmp(&b.display_path));
     let analysis = soctam_analyze::analyze(&files);

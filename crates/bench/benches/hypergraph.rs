@@ -16,7 +16,7 @@ fn random_hypergraph(vertices: u32, edges: u32, seed: u64) -> Hypergraph {
     for _ in 0..edges {
         let len = rng.range_usize_inclusive(2, 5);
         let pins: Vec<u32> = (0..len).map(|_| rng.range_u32(0, vertices)).collect();
-        if pins.iter().collect::<std::collections::HashSet<_>>().len() >= 2 {
+        if pins.iter().collect::<std::collections::BTreeSet<_>>().len() >= 2 {
             builder
                 .add_edge(rng.range_u64_inclusive(1, 20), &pins)
                 .expect("pins in range");

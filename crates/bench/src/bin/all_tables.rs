@@ -5,6 +5,9 @@
 //! cargo run --release -p soctam-bench --bin all_tables > tables.md
 //! ```
 
+// Wall-clock timing is this binary's job; it never feeds a table value.
+#![allow(clippy::disallowed_methods)]
+
 use soctam::Benchmark;
 use soctam_bench::{paper_table, to_markdown};
 

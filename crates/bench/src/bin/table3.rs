@@ -6,6 +6,9 @@
 //! cargo run --release -p soctam-bench --bin table3
 //! ```
 
+// Wall-clock timing is this binary's job; it never feeds a table value.
+#![allow(clippy::disallowed_methods)]
+
 use soctam::Benchmark;
 use soctam_bench::paper_table;
 

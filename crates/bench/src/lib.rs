@@ -6,8 +6,9 @@
 // desired behaviour for micro-benchmarks, so the panic lints are off
 // wholesale rather than per call site.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// Wall-clock timing is this crate's job; it never feeds a table value.
+#![allow(clippy::disallowed_methods)]
+
 use soctam::experiment::{run_table, ExperimentConfig, ExperimentTable};
 use soctam::{Benchmark, RandomPatternConfig, SiGroupSpec, SiPatternSet, Soc, SoctamError};
 

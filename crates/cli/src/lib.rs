@@ -20,9 +20,6 @@
 //! `p93791`) or a path to an ITC'02 `.soc` file. Argument parsing is
 //! dependency-free; every command accepts `--help`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 use std::fmt::Write as _;
 use std::io::IsTerminal as _;
 use std::io::Write as _;

@@ -1,7 +1,5 @@
 //! The full two-dimensional compaction pipeline.
 
-use std::collections::HashSet;
-
 use soctam_exec::Pool;
 use soctam_hypergraph::PartitionConfig;
 use soctam_model::Soc;
@@ -29,10 +27,6 @@ pub struct CompactionConfig {
     pub partitions: u32,
     /// Hypergraph partitioner settings (imbalance, seed, FM effort).
     pub partition_config: PartitionConfig,
-    /// Visit order of the greedy clique cover. The default is the paper's
-    /// input order; [`MergeOrder::MostCareBitsFirst`] typically compacts
-    /// ~20 % further (see the `compaction_report` bench binary).
-    pub merge_order: MergeOrder,
 }
 
 impl CompactionConfig {
@@ -42,14 +36,7 @@ impl CompactionConfig {
         CompactionConfig {
             partitions,
             partition_config: PartitionConfig::new(partitions.max(1)),
-            merge_order: MergeOrder::InputOrder,
         }
-    }
-
-    /// Sets the greedy clique-cover visit order.
-    pub fn with_merge_order(mut self, order: MergeOrder) -> Self {
-        self.merge_order = order;
-        self
     }
 
     /// Sets the partitioner RNG seed.
@@ -144,12 +131,14 @@ pub fn compact_two_dimensional_with(
     // dropped keep-first: a duplicate always lands in its first copy's
     // clique and absorbing it there is a no-op, so removal cannot change
     // the compacted output.
-    // soctam-analyze: allow(DET-01) -- insert/contains only, never iterated, so hash order cannot affect output
-    let mut seen: HashSet<&SiPattern> = HashSet::new();
+    // Insert/contains only, never iterated, so hash order cannot affect
+    // the output.
+    #[allow(clippy::disallowed_types)]
+    let mut seen: std::collections::HashSet<&SiPattern> = std::collections::HashSet::new();
     let mut dedup = |indices: &[usize]| -> Vec<u32> {
         seen.clear();
         indices
-            // soctam-analyze: allow(DET-10) -- iterates the index slice, not the HashSet; the set is insert-only (see the DET-01 waiver above)
+            // soctam-analyze: allow(DET-10) -- iterates the index slice, not the HashSet; the set is insert-only (see the `disallowed_types` allow above)
             .iter()
             .filter(|&&i| seen.insert(&raw.as_slice()[i]))
             .map(|&i| i as u32)
@@ -167,7 +156,7 @@ pub fn compact_two_dimensional_with(
         if indices.is_empty() {
             (Vec::new(), KernelStats::default())
         } else {
-            compact_packed_subset(&set, indices, terminal_words, config.merge_order)
+            compact_packed_subset(&set, indices, terminal_words, MergeOrder::InputOrder)
         }
     });
 
@@ -276,24 +265,6 @@ mod tests {
         assert!(result.groups().is_empty());
         assert_eq!(result.total_patterns(), 0);
         assert_eq!(result.data_volume(&soc), 0);
-    }
-
-    #[test]
-    fn most_care_bits_first_compacts_harder() {
-        let (soc, raw) = setup(2_000);
-        let base = compact_two_dimensional(&soc, &raw, &CompactionConfig::new(1)).expect("valid");
-        let better = compact_two_dimensional(
-            &soc,
-            &raw,
-            &CompactionConfig::new(1).with_merge_order(crate::MergeOrder::MostCareBitsFirst),
-        )
-        .expect("valid");
-        assert!(
-            better.total_patterns() <= base.total_patterns(),
-            "largest-first {} > input-order {}",
-            better.total_patterns(),
-            base.total_patterns()
-        );
     }
 
     #[test]

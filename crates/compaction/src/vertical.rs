@@ -424,6 +424,21 @@ mod tests {
     }
 
     #[test]
+    fn most_care_bits_first_compacts_harder() {
+        let soc = Benchmark::D695.soc();
+        let raw = SiPatternSet::random(&soc, &RandomPatternConfig::new(2_000).with_seed(17))
+            .expect("valid");
+        let base = compact_greedy_ordered(&soc, raw.as_slice(), MergeOrder::InputOrder);
+        let better = compact_greedy_ordered(&soc, raw.as_slice(), MergeOrder::MostCareBitsFirst);
+        assert!(
+            better.len() <= base.len(),
+            "largest-first {} > input-order {}",
+            better.len(),
+            base.len()
+        );
+    }
+
+    #[test]
     fn exact_cover_rejects_large_sets() {
         let patterns: Vec<SiPattern> = (0..EXACT_COVER_LIMIT as u32 + 1)
             .map(|i| p(&[(i, Symbol::Rise)]))

@@ -166,45 +166,7 @@ impl fmt::Display for ExperimentTable {
 ///
 /// Forwards generation, compaction and optimization errors.
 pub fn run_table(soc: &Soc, config: &ExperimentConfig) -> Result<ExperimentTable, SoctamError> {
-    run_table_with(soc, config, &Pool::serial())
-}
-
-/// [`run_table`] with every stage on `pool`: pattern generation fans out
-/// per pattern, compaction per partition count and the
-/// `widths × (baseline + partitions)` optimization grid per cell. The
-/// grid is reduced in sweep order, so the table is bit-identical to the
-/// serial run for any pool size.
-///
-/// # Errors
-///
-/// Same contract as [`run_table`].
-pub fn run_table_with(
-    soc: &Soc,
-    config: &ExperimentConfig,
-    pool: &Pool,
-) -> Result<ExperimentTable, SoctamError> {
-    run_table_cached(soc, config, pool, None)
-}
-
-/// [`run_table_with`] reusing a shared evaluator cache across the grid
-/// and across calls. The cache only skips recomputation; results are
-/// bit-identical with or without it (cache keys carry a per-context
-/// fingerprint, so entries from other SOCs or sweeps can never alias).
-///
-/// # Errors
-///
-/// Same contract as [`run_table`].
-pub fn run_table_cached(
-    soc: &Soc,
-    config: &ExperimentConfig,
-    pool: &Pool,
-    cache: Option<&soctam_tam::EvalCache>,
-) -> Result<ExperimentTable, SoctamError> {
-    let opts = TableOpts {
-        cache: cache.cloned(),
-        ..TableOpts::default()
-    };
-    run_table_opts(soc, config, pool, &opts)
+    run_table_opts(soc, config, &Pool::serial(), &TableOpts::default())
 }
 
 /// Optional extras for a table run, all defaulting to off. None of them
@@ -213,7 +175,9 @@ pub fn run_table_cached(
 /// order either way) and the progress sink is purely advisory.
 #[derive(Clone, Debug, Default)]
 pub struct TableOpts {
-    /// Shared evaluator cache (see [`run_table_cached`]).
+    /// Shared evaluator cache, reused across the grid and across calls.
+    /// It only skips recomputation: cache keys carry a per-context
+    /// fingerprint, so entries from other SOCs or sweeps never alias.
     pub cache: Option<soctam_tam::EvalCache>,
     /// Pool for the optimizer's speculative candidate probing; `None`
     /// keeps probes on the calling worker.
@@ -229,7 +193,11 @@ pub struct TableOpts {
     pub backend: BackendKind,
 }
 
-/// [`run_table_cached`] with the full option set ([`TableOpts`]).
+/// [`run_table`] with every stage on `pool` and the extras in `opts`:
+/// pattern generation fans out per pattern, compaction per partition
+/// count and the `widths × (baseline + partitions)` optimization grid
+/// per cell. The grid is reduced in sweep order, so the table is
+/// bit-identical to the serial run for any pool size.
 ///
 /// # Errors
 ///

@@ -113,30 +113,18 @@ impl<'a> SiOptimizer<'a> {
         self
     }
 
-    /// Runs the pipeline on `jobs` threads (0 = all available cores).
-    /// Results are bit-identical for every job count; only wall-clock
-    /// changes. Shorthand for [`SiOptimizer::pool`] with a fresh pool.
-    pub fn jobs(self, jobs: usize) -> Self {
-        self.pool(Pool::new(jobs))
-    }
-
-    /// Runs the pipeline on an existing [`Pool`] (shared across runs,
-    /// metrics accumulate in the pool's [`Metrics`]).
+    /// Runs the pipeline on `pool` (shared across runs, metrics
+    /// accumulate in the pool's [`Metrics`]). Results are bit-identical
+    /// for every pool size; only wall-clock changes.
     pub fn pool(mut self, pool: Pool) -> Self {
         self.pool = pool;
         self
     }
 
-    /// Probes optimizer move candidates on `jobs` threads (0 = all
-    /// available cores), independent of the compaction pool. Results
-    /// are bit-identical for every probe-job count; only wall-clock
-    /// changes. Shorthand for [`SiOptimizer::probe_pool`].
-    pub fn probe_jobs(self, jobs: usize) -> Self {
-        self.probe_pool(Pool::new(jobs))
-    }
-
-    /// Probes optimizer move candidates on an existing [`Pool`]. When
-    /// unset, candidate probing shares the pipeline's main pool.
+    /// Probes optimizer move candidates on `pool`, independent of the
+    /// compaction pool. When unset, candidate probing shares the
+    /// pipeline's main pool. Results are bit-identical for every pool
+    /// size; only wall-clock changes.
     pub fn probe_pool(mut self, pool: Pool) -> Self {
         self.probe_pool = Some(pool);
         self

@@ -426,6 +426,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // measures that the delay really slept
     fn delay_action_continues_normally() {
         let _g = guard();
         let _f = ScopedFault::new("unit.delay", FaultAction::Delay(Duration::from_millis(1)));

@@ -6,6 +6,10 @@
 //! relaxed atomics — they are diagnostics, not synchronization — and a
 //! [`MetricsSnapshot`] is taken once at the end of a run for display.
 
+// This is the workspace's sanctioned wall clock: phase timers feed
+// `--stats` and traces, never a result.
+#![allow(clippy::disallowed_methods)]
+
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};

@@ -16,7 +16,6 @@
 //! the flag can only be raised programmatically (useful in tests via
 //! [`raise_terminate`]).
 
-// soctam-analyze: allow-file(UNSAFE-01) -- registering a POSIX signal handler requires the libc `signal` FFI call; the handler body is a single atomic store (async-signal-safe) and each unsafe block carries a SAFETY argument
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-global "a termination signal arrived" latch.

@@ -28,10 +28,6 @@
 //! assert!(first.woc_count() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod benchmarks;
 mod core_spec;
 mod diag;

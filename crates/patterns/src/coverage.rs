@@ -243,7 +243,7 @@ mod tests {
         assert_eq!(MaCase::DelayRise.victim_symbol(), Symbol::Rise);
         assert_eq!(MaCase::DelayRise.aggressor_symbol(), Symbol::Fall);
         // Victim symbols cover all four symbols; each appears in the list.
-        let victims: std::collections::HashSet<_> =
+        let victims: std::collections::BTreeSet<_> =
             MaCase::ALL.iter().map(|c| c.victim_symbol()).collect();
         assert_eq!(victims.len(), 4);
     }

@@ -270,7 +270,7 @@ mod tests {
             // The victim is the first care bit pushed, but care bits are
             // sorted afterwards; recover the victim as... any core: count
             // care cores other than the most frequent one.
-            let mut per_core = std::collections::HashMap::new();
+            let mut per_core = std::collections::BTreeMap::new();
             for &(t, _) in p.care_bits() {
                 *per_core
                     .entry(soc.owner(t).expect("in range"))

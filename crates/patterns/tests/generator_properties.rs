@@ -76,7 +76,7 @@ fn shorts_opens_properties() {
         let vectors = shorts_opens(&bundle).expect("valid");
         let n = bundle.len() as u64;
         assert_eq!(vectors.len() as u32, 64 - (n + 1).leading_zeros());
-        let mut signatures = std::collections::HashSet::new();
+        let mut signatures = std::collections::BTreeSet::new();
         for &t in &bundle {
             let sig: Vec<_> = vectors
                 .iter()

@@ -33,10 +33,6 @@
 //! assert!(out.text.contains("d695"));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod json;
 mod param;
 mod profile;

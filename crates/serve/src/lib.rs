@@ -39,10 +39,6 @@
 //! [`Pool`]: soctam::Pool
 //! [`EvalCache`]: soctam::EvalCache
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod client;
 pub mod http;
 mod job;

@@ -7,6 +7,10 @@
 //! seeded exponential backoff (override the jitter seed with
 //! `SOCTAM_RETRY_SEED`), honoring the server's `Retry-After` hint.
 
+// The poll timeout is a client-side wall-clock wait; it never shapes a
+// result.
+#![allow(clippy::disallowed_methods)]
+
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 

@@ -17,6 +17,9 @@
 //! exactly. `SOCTAM_CHAOS_ROUNDS` scales the soak length.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+// Watchdog deadlines bound the wait on a live daemon; no result reads
+// the clock.
+#![allow(clippy::disallowed_methods)]
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};

@@ -3,6 +3,9 @@
 //! interrupted job re-runs to a bit-identical result.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+// Watchdog deadlines bound the wait on a live daemon; no result reads
+// the clock.
+#![allow(clippy::disallowed_methods)]
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};

@@ -19,7 +19,10 @@
 //! result of an iteration-bounded run — is independent of the worker
 //! count.
 
-// soctam-analyze: allow-file(DET-02) -- the wall-clock deadline is the documented opt-in degradation escape hatch; iteration budgets stay deterministic
+// The wall-clock deadline is the documented opt-in degradation escape
+// hatch; iteration budgets stay deterministic.
+#![allow(clippy::disallowed_methods)]
+
 // soctam-analyze: allow-file(DET-10) -- Instant::now only evaluates when a deadline is configured; golden and CI runs never set one, so no clock value can reach a fingerprint or golden
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

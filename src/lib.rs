@@ -1,6 +1,3 @@
 //! Root package: thin re-export of the soctam facade so integration
 //! tests and examples can use one import path.
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 pub use soctam::*;

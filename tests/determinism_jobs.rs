@@ -11,7 +11,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use soctam::experiment::{run_table_opts, run_table_with, ExperimentConfig, TableOpts};
+use soctam::experiment::{run_table, run_table_opts, ExperimentConfig, TableOpts};
 use soctam::{
     BackendKind, Benchmark, OptimizerBudget, Pool, RandomPatternConfig, SiOptimizationResult,
     SiOptimizer, SiPatternSet,
@@ -44,10 +44,10 @@ fn optimize_backend(
         .max_tam_width(16)
         .partitions(2)
         .seed(3)
-        .jobs(jobs)
+        .pool(Pool::new(jobs))
         .backend(backend);
     if probe_jobs != 1 {
-        opt = opt.probe_jobs(probe_jobs);
+        opt = opt.probe_pool(Pool::new(probe_jobs));
     }
     opt.optimize(&set).expect("optimizes")
 }
@@ -120,10 +120,10 @@ fn optimize_budgeted(
         .max_tam_width(16)
         .partitions(2)
         .seed(3)
-        .jobs(jobs)
+        .pool(Pool::new(jobs))
         .budget(OptimizerBudget::unlimited().with_max_iterations(6));
     if probe_jobs != 1 {
-        opt = opt.probe_jobs(probe_jobs);
+        opt = opt.probe_pool(Pool::new(probe_jobs));
     }
     opt.optimize(&set).expect("optimizes")
 }
@@ -185,7 +185,7 @@ fn experiment_table_is_bit_identical_across_jobs() {
         partitions: vec![1, 2],
         seed: 5,
     };
-    let baseline = run_table_with(&soc, &config, &Pool::serial()).expect("runs");
+    let baseline = run_table(&soc, &config).expect("runs");
     for (jobs, probe_jobs) in job_grid().skip(1) {
         let opts = TableOpts {
             probe_pool: (probe_jobs != 1).then(|| Pool::new(probe_jobs)),
