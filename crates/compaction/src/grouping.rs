@@ -1,8 +1,7 @@
 //! Horizontal compaction: core grouping via hypergraph partitioning
 //! (Fig. 2 of the paper).
 
-use std::collections::BTreeMap;
-
+use soctam_exec::FxBuildHasher;
 use soctam_hypergraph::{Hypergraph, HypergraphBuilder, Partition, PartitionConfig};
 use soctam_model::{CoreId, Soc};
 use soctam_patterns::{PackedLayout, PackedSet, SiPattern};
@@ -65,12 +64,16 @@ const NO_EDGE: u32 = u32::MAX;
 #[allow(clippy::expect_used)]
 fn build_with_edge_of(soc: &Soc, set: &PackedSet, layout: &PackedLayout) -> (Hypergraph, Vec<u32>) {
     let mut builder = HypergraphBuilder::new();
+    // soctam-analyze: allow(DET-10) -- the body's only hash iteration drains the edge table into a Vec sorted by pins before any edge is emitted
     builder.add_vertices(soc.iter().map(|(_, core)| u64::from(core.woc_count())));
-    // BTreeMap keeps the distinct care-core sets in sorted order, so the
-    // edge emission below is deterministic without a separate sort. Each
-    // set maps to (weight, first-seen id); patterns record the first-seen
-    // id, remapped to the sorted edge id once every set is known.
-    let mut edge_counts: BTreeMap<Vec<u32>, (u64, u32)> = BTreeMap::new();
+    // Each distinct care-core set maps to (weight, first-seen id);
+    // patterns record the first-seen id, remapped to the sorted edge id
+    // once every set is known. Lookup only: the map is drained into a
+    // Vec and sorted by pins before any edge is emitted, so hash order
+    // cannot reach the hypergraph.
+    #[allow(clippy::disallowed_types)]
+    let mut edge_counts: std::collections::HashMap<Vec<u32>, (u64, u32), FxBuildHasher> =
+        std::collections::HashMap::default();
     let mut edge_of: Vec<u32> = Vec::with_capacity(set.len());
     let mut cores: Vec<CoreId> = Vec::new();
     let mut raw: Vec<u32> = Vec::new();
@@ -96,8 +99,10 @@ fn build_with_edge_of(soc: &Soc, set: &PackedSet, layout: &PackedLayout) -> (Hyp
             }
         }
     }
-    let mut edge_id = vec![0u32; edge_counts.len()];
-    for (pins, (weight, first_seen)) in edge_counts {
+    let mut edges: Vec<(Vec<u32>, (u64, u32))> = edge_counts.into_iter().collect();
+    edges.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let mut edge_id = vec![0u32; edges.len()];
+    for (pins, (weight, first_seen)) in edges {
         edge_id[first_seen as usize] = builder
             .add_edge(weight, &pins)
             .expect("care cores are valid vertices");
@@ -233,8 +238,78 @@ pub fn group_patterns_packed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soctam_exec::Rng;
     use soctam_model::Benchmark;
     use soctam_patterns::{RandomPatternConfig, SiPatternSet};
+    use std::collections::BTreeMap;
+
+    /// The BTreeMap edge table `build_with_edge_of` replaced: the map
+    /// keeps the care-core sets sorted, so edges are emitted in map order.
+    fn build_with_edge_of_btree(
+        soc: &Soc,
+        set: &PackedSet,
+        layout: &PackedLayout,
+    ) -> (Hypergraph, Vec<u32>) {
+        let mut builder = HypergraphBuilder::new();
+        builder.add_vertices(soc.iter().map(|(_, core)| u64::from(core.woc_count())));
+        let mut edge_counts: BTreeMap<Vec<u32>, (u64, u32)> = BTreeMap::new();
+        let mut edge_of = Vec::with_capacity(set.len());
+        let mut cores = Vec::new();
+        for i in 0..set.len() {
+            layout.care_cores_into(set.get(i), &mut cores);
+            let raw: Vec<u32> = cores.iter().map(|c| c.raw()).collect();
+            if raw.is_empty() {
+                edge_of.push(NO_EDGE);
+                continue;
+            }
+            let first_seen = edge_counts.len() as u32;
+            let entry = edge_counts.entry(raw).or_insert((0, first_seen));
+            entry.0 += 1;
+            edge_of.push(entry.1);
+        }
+        let mut edge_id = vec![0u32; edge_counts.len()];
+        for (pins, (weight, first_seen)) in edge_counts {
+            edge_id[first_seen as usize] = builder.add_edge(weight, &pins).expect("valid pins");
+        }
+        for e in edge_of.iter_mut().filter(|e| **e != NO_EDGE) {
+            *e = edge_id[*e as usize];
+        }
+        (builder.build(), edge_of)
+    }
+
+    fn edges(hg: &Hypergraph) -> Vec<(Vec<u32>, u64)> {
+        (0..hg.num_edges() as u32)
+            .map(|e| (hg.pins(e).to_vec(), hg.edge_weight(e)))
+            .collect()
+    }
+
+    #[test]
+    fn hashed_edge_table_matches_the_btree_reference() {
+        for (benchmark, seed) in [
+            (Benchmark::D695, 1),
+            (Benchmark::P34392, 7),
+            (Benchmark::P93791, 2007),
+        ] {
+            let soc = benchmark.soc();
+            let mut patterns =
+                SiPatternSet::random(&soc, &RandomPatternConfig::new(3_000).with_seed(seed))
+                    .expect("valid")
+                    .into_vec();
+            // Sprinkle care-core-free patterns through the set.
+            let mut rng = Rng::derive(seed, 15);
+            for _ in 0..40 {
+                let at = rng.index(patterns.len() + 1);
+                patterns.insert(at, SiPattern::default());
+            }
+            let set = PackedSet::build(&patterns);
+            let layout = PackedLayout::new(&soc);
+            let (hg, edge_of) = build_with_edge_of(&soc, &set, &layout);
+            let (reference, reference_edge_of) = build_with_edge_of_btree(&soc, &set, &layout);
+            assert_eq!(edges(&hg), edges(&reference), "{benchmark:?}");
+            assert_eq!(edge_of, reference_edge_of, "{benchmark:?}");
+            assert_eq!(edge_of.iter().filter(|&&e| e == NO_EDGE).count(), 40);
+        }
+    }
 
     fn setup(n: usize) -> (Soc, SiPatternSet) {
         let soc = Benchmark::D695.soc();

@@ -1,11 +1,12 @@
 //! The full two-dimensional compaction pipeline.
 
-use soctam_exec::Pool;
+use soctam_exec::{FxBuildHasher, Pool};
 use soctam_hypergraph::PartitionConfig;
 use soctam_model::Soc;
+use soctam_patterns::packed::words_for_terminals;
 use soctam_patterns::{KernelStats, PackedLayout, PackedSet, SiPattern, SiPatternSet};
 
-use crate::vertical::{assert_in_terminal_space, compact_packed_subset};
+use crate::vertical::compact_packed_subset;
 use crate::{
     group_patterns_packed, CompactedSiTests, CompactionError, CompactionStats, MergeOrder,
     SiTestGroup,
@@ -59,7 +60,10 @@ impl CompactionConfig {
 ///
 /// # Errors
 ///
-/// * forwarded pattern validation errors;
+/// * forwarded pattern validation errors: the first
+///   [`TerminalOutOfRange`](soctam_patterns::PatternError::TerminalOutOfRange)
+///   (exactly [`SiPatternSet::validate_for`]'s), else the first
+///   [`DriverOutOfRange`](soctam_patterns::PatternError::DriverOutOfRange);
 /// * [`CompactionError::TooManyPartitions`] / partitioning failures.
 ///
 /// # Example
@@ -102,13 +106,13 @@ pub fn compact_two_dimensional_with(
     config: &CompactionConfig,
     pool: &Pool,
 ) -> Result<CompactedSiTests, CompactionError> {
-    raw.validate_for(soc)?;
+    // Pack once, validating in the same pass: grouping, duplicate
+    // removal and every per-bucket greedy cover all run against the same
+    // bit-packed arena; patterns are only expanded back to sparse form
+    // when the compacted cliques are emitted.
+    let set = PackedSet::build_for(soc, raw.as_slice())?;
     soctam_exec::fault::check("compaction.partition")?;
-    // Pack once: grouping, duplicate removal and every per-bucket greedy
-    // cover all run against the same bit-packed arena; patterns are only
-    // expanded back to sparse form when the compacted cliques are emitted.
-    let set = PackedSet::build(raw.as_slice());
-    let terminal_words = assert_in_terminal_space(soc, &set);
+    let terminal_words = words_for_terminals(soc.total_wocs() as usize);
     let layout = PackedLayout::new(soc);
     let grouping = group_patterns_packed(
         soc,
@@ -132,9 +136,11 @@ pub fn compact_two_dimensional_with(
     // clique and absorbing it there is a no-op, so removal cannot change
     // the compacted output.
     // Insert/contains only, never iterated, so hash order cannot affect
-    // the output.
+    // the output; Fx is enough for a set keyed on the patterns themselves
+    // (equality decides membership, the hash only places buckets).
     #[allow(clippy::disallowed_types)]
-    let mut seen: std::collections::HashSet<&SiPattern> = std::collections::HashSet::new();
+    let mut seen: std::collections::HashSet<&SiPattern, FxBuildHasher> =
+        std::collections::HashSet::default();
     let mut dedup = |indices: &[usize]| -> Vec<u32> {
         seen.clear();
         indices
@@ -200,8 +206,8 @@ pub fn compact_two_dimensional_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soctam_model::Benchmark;
-    use soctam_patterns::RandomPatternConfig;
+    use soctam_model::{Benchmark, BusLineId, CoreId, TerminalId};
+    use soctam_patterns::{PatternError, RandomPatternConfig, Symbol};
 
     fn setup(n: usize) -> (Soc, SiPatternSet) {
         let soc = Benchmark::D695.soc();
@@ -279,6 +285,83 @@ mod tests {
         assert_eq!(base.stats().duplicate_patterns, 0);
         assert_eq!(deduped.stats().duplicate_patterns, 300);
         assert_eq!(base.groups(), deduped.groups());
+    }
+
+    fn with_inserted(raw: &SiPatternSet, inserts: &[(usize, SiPattern)]) -> SiPatternSet {
+        let mut patterns = raw.as_slice().to_vec();
+        for (at, p) in inserts {
+            patterns.insert(*at, p.clone());
+        }
+        SiPatternSet::from_patterns(patterns)
+    }
+
+    fn bus_pattern(line: u8, driver: u32) -> SiPattern {
+        SiPattern::new(
+            vec![(TerminalId::new(0), Symbol::Rise)],
+            vec![(BusLineId::new(line), CoreId::new(driver))],
+        )
+        .expect("valid")
+    }
+
+    fn care_pattern(terminal: u32) -> SiPattern {
+        SiPattern::new(vec![(TerminalId::new(terminal), Symbol::Fall)], vec![]).expect("valid")
+    }
+
+    #[test]
+    fn out_of_range_bus_driver_is_an_error_not_a_panic() {
+        let (soc, raw) = setup(500);
+        // Two bad drivers: the first in set order is reported, including
+        // one beyond the packed one-byte driver limit.
+        for (first, second) in [(40, 300), (300, 40)] {
+            let bad = with_inserted(
+                &raw,
+                &[(120, bus_pattern(3, first)), (300, bus_pattern(5, second))],
+            );
+            for parts in [1, 2] {
+                let err = compact_two_dimensional(&soc, &bad, &CompactionConfig::new(parts))
+                    .expect_err("driver outside the soc");
+                assert_eq!(
+                    err,
+                    CompactionError::Pattern(PatternError::DriverOutOfRange {
+                        line: 3,
+                        driver: CoreId::new(first),
+                        cores: soc.num_cores(),
+                    }),
+                    "i={parts}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_terminal_error_matches_validate_for() {
+        let (soc, raw) = setup(500);
+        let total = soc.total_wocs();
+        // A bad driver first in set order, then two bad terminals: the
+        // terminal error wins, and it is the first one, as before.
+        let bad = with_inserted(
+            &raw,
+            &[
+                (50, bus_pattern(1, 40)),
+                (200, care_pattern(total + 9)),
+                (400, care_pattern(total)),
+            ],
+        );
+        let expected = bad
+            .validate_for(&soc)
+            .expect_err("terminal outside the soc");
+        assert_eq!(
+            expected,
+            PatternError::TerminalOutOfRange {
+                terminal: TerminalId::new(total + 9),
+                total,
+            }
+        );
+        for parts in [1, 2] {
+            let err = compact_two_dimensional(&soc, &bad, &CompactionConfig::new(parts))
+                .expect_err("terminal outside the soc");
+            assert_eq!(err, CompactionError::Pattern(expected.clone()), "i={parts}");
+        }
     }
 
     #[test]

@@ -41,15 +41,16 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records one executed parallel task.
-    pub fn count_task(&self) {
-        self.tasks_executed.fetch_add(1, Ordering::Relaxed);
+    /// Records `n` executed parallel tasks (one per item of a claimed
+    /// block).
+    pub fn count_tasks(&self, n: u64) {
+        self.tasks_executed.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one stolen task (executed from another participant's
+    /// Records `n` stolen tasks (executed from another participant's
     /// chunk).
-    pub fn count_steal(&self) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
+    pub fn count_steals(&self, n: u64) {
+        self.steals.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records a memoization-cache hit.
@@ -280,9 +281,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let m = Metrics::new();
-        m.count_task();
-        m.count_task();
-        m.count_steal();
+        m.count_tasks(1);
+        m.count_tasks(1);
+        m.count_steals(1);
         m.count_cache_hit();
         m.count_cache_miss();
         let snap = m.snapshot();
@@ -320,7 +321,7 @@ mod tests {
     #[test]
     fn display_is_stable() {
         let m = Metrics::new();
-        m.count_task();
+        m.count_tasks(1);
         let text = m.snapshot().to_string();
         assert!(text.contains("tasks executed : 1"));
         assert!(text.contains("cache          : unused"));

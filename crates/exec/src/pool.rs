@@ -14,6 +14,15 @@
 //! interleaving**, provided the mapped function is deterministic per
 //! index.
 //!
+//! Cursors hand out *blocks*, not single items: one `fetch_add` claims
+//! `1 / (2 · participants)` of the chunk's remaining indices (at least
+//! one), so a chunk of `m` items costs `O(participants · log m)` claims
+//! instead of `m`, and the final claims of a chunk are single items that
+//! thieves can still balance. A block advances the completion counter
+//! once, but the metrics still count every item as one task (and every
+//! stolen item as one steal), so `tasks executed` is exactly `n` per
+//! call at any thread count.
+//!
 //! The caller participates until every index is claimed, then blocks
 //! until every in-flight item has completed and every helper has left
 //! the shared context. Because the caller always drives its own call to
@@ -150,41 +159,51 @@ where
     participate(ctx, home);
 }
 
-/// Claims and runs one item from `chunk`; returns `false` when the
-/// chunk is exhausted.
+/// Claims and runs one block of items from `chunk`; returns `false`
+/// when the chunk is exhausted.
+///
+/// The block is guided: `1 / (2 · participants)` of the chunk's
+/// remaining work, so claims shrink geometrically and are single items
+/// near the end of a chunk, where a thief may still take the rest.
 fn try_chunk<R, F>(ctx: &MapCtx<'_, R, F>, chunk: usize, home: usize) -> bool
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let (_, end) = ctx.bounds[chunk];
-    if ctx.next[chunk].load(Ordering::Relaxed) >= end {
+    let cursor = ctx.next[chunk].load(Ordering::Relaxed);
+    if cursor >= end {
         return false;
     }
-    let idx = ctx.next[chunk].fetch_add(1, Ordering::Relaxed);
-    if idx >= end {
+    let block = ((end - cursor) / (2 * ctx.bounds.len())).max(1);
+    let start = ctx.next[chunk].fetch_add(block, Ordering::Relaxed);
+    if start >= end {
         return false;
     }
-    match catch_unwind(AssertUnwindSafe(|| {
-        fault::hit("exec.pool.task");
-        (ctx.f)(idx)
-    })) {
-        Ok(value) => {
-            // SAFETY: `idx` was claimed exclusively above.
-            unsafe { *ctx.slots[idx].0.get() = Some(value) };
-        }
-        Err(payload) => {
-            let mut slot = lock_recover(&ctx.sync.panic);
-            if slot.is_none() {
-                *slot = Some(payload);
+    let stop = (start + block).min(end);
+    for idx in start..stop {
+        match catch_unwind(AssertUnwindSafe(|| {
+            fault::hit("exec.pool.task");
+            (ctx.f)(idx)
+        })) {
+            Ok(value) => {
+                // SAFETY: `start..stop` was claimed exclusively above.
+                unsafe { *ctx.slots[idx].0.get() = Some(value) };
+            }
+            Err(payload) => {
+                let mut slot = lock_recover(&ctx.sync.panic);
+                if slot.is_none() {
+                    *slot = Some(payload);
+                }
             }
         }
     }
-    ctx.metrics.count_task();
+    let items = stop - start;
+    ctx.metrics.count_tasks(items as u64);
     if chunk != home {
-        ctx.metrics.count_steal();
+        ctx.metrics.count_steals(items as u64);
     }
-    if ctx.sync.completed.fetch_add(1, Ordering::AcqRel) + 1 == ctx.n {
+    if ctx.sync.completed.fetch_add(items, Ordering::AcqRel) + items == ctx.n {
         ctx.sync.notify();
     }
     true
@@ -333,7 +352,7 @@ impl Pool {
             return (0..n)
                 .map(|i| {
                     fault::hit("exec.pool.task");
-                    metrics.count_task();
+                    metrics.count_tasks(1);
                     f(i)
                 })
                 .collect();
@@ -491,9 +510,17 @@ mod tests {
                 .map(|_| rng.next_u64())
                 .fold(0u64, u64::wrapping_add)
         };
-        let serial = Pool::new(1).par_map_index(333, f);
-        for jobs in [2, 3, 4, 8] {
-            assert_eq!(Pool::new(jobs).par_map_index(333, f), serial, "jobs={jobs}");
+        // Block ends, odd remainders and steals: sizes around one chunk
+        // per participant and far beyond it.
+        for n in [1, 7, 8, 9, 257, 333, 100_003] {
+            let serial = Pool::new(1).par_map_index(n, f);
+            for jobs in [2, 3, 4, 8] {
+                assert_eq!(
+                    Pool::new(jobs).par_map_index(n, f),
+                    serial,
+                    "n={n} jobs={jobs}"
+                );
+            }
         }
     }
 
@@ -529,14 +556,38 @@ mod tests {
         assert!(result.is_err());
         // The pool stays usable afterwards.
         assert_eq!(pool.par_map_index(4, |i| i), vec![0, 1, 2, 3]);
+
+        // A panic in the middle of a multi-item block (the first claim of
+        // a 50 000-item chunk spans thousands of indices) re-raises too,
+        // and the same pool then maps correctly.
+        let pool = Pool::new(2);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.par_map_index(100_003, |i| {
+                if i == 10 {
+                    panic!("boom inside a block");
+                }
+                i
+            })
+        }));
+        assert!(result.is_err());
+        assert_eq!(
+            pool.par_map_index(100_003, |i| i * 3),
+            (0..100_003).map(|i| i * 3).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn tasks_are_counted() {
-        let pool = Pool::new(2);
-        pool.par_map_index(100, |i| i);
-        let snap = pool.metrics().snapshot();
-        assert_eq!(snap.tasks_executed, 100);
+        // Every item counts as one task however many items a claim spans.
+        for n in [1, 7, 8, 9, 100, 257, 100_003] {
+            for jobs in [2, 4, 8] {
+                let pool = Pool::new(jobs);
+                pool.par_map_index(n, |i| i);
+                let snap = pool.metrics().snapshot();
+                assert_eq!(snap.tasks_executed, n as u64, "n={n} jobs={jobs}");
+                assert!(snap.steals <= n as u64, "n={n} jobs={jobs}");
+            }
+        }
     }
 
     #[test]

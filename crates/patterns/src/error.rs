@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use soctam_model::TerminalId;
+use soctam_model::{CoreId, TerminalId};
 
 /// Errors produced when building SI patterns or pattern sets.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,6 +25,15 @@ pub enum PatternError {
         terminal: TerminalId,
         /// Size of the terminal space.
         total: u32,
+    },
+    /// A bus line is driven from a core the SOC does not have.
+    DriverOutOfRange {
+        /// Index of the occupied bus line.
+        line: u8,
+        /// The offending driver core.
+        driver: CoreId,
+        /// Number of cores in the SOC.
+        cores: usize,
     },
     /// Pattern generation needs at least this many terminals.
     NotEnoughTerminals {
@@ -58,6 +67,14 @@ impl fmt::Display for PatternError {
             PatternError::TerminalOutOfRange { terminal, total } => write!(
                 f,
                 "terminal {terminal} outside the {total}-terminal space of the soc"
+            ),
+            PatternError::DriverOutOfRange {
+                line,
+                driver,
+                cores,
+            } => write!(
+                f,
+                "bus line {line} driven from {driver} outside the {cores}-core soc"
             ),
             PatternError::NotEnoughTerminals {
                 required,
@@ -96,6 +113,19 @@ mod tests {
             terminal: TerminalId::new(9),
         };
         assert!(err.to_string().contains("t9"));
+    }
+
+    #[test]
+    fn display_names_the_driver_and_core_count() {
+        let err = PatternError::DriverOutOfRange {
+            line: 3,
+            driver: CoreId::new(40),
+            cores: 10,
+        };
+        assert_eq!(
+            err.to_string(),
+            "bus line 3 driven from core#40 outside the 10-core soc"
+        );
     }
 
     #[test]

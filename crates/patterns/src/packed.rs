@@ -183,16 +183,29 @@ fn pack_care(care: &[(TerminalId, Symbol)], out: &mut Vec<PackedWord>) {
     }
 }
 
-fn pack_bus(bus: &[(BusLineId, CoreId)], out: &mut Vec<PackedBusLine>) {
+/// Packs the bus postfix and returns the largest driver core id. Ids
+/// ≥ [`MAX_PACKED_DRIVERS`] are truncated here: callers must reject them
+/// with [`assert_packable`] (or an error) before using the packed lines.
+fn pack_bus(bus: &[(BusLineId, CoreId)], out: &mut Vec<PackedBusLine>) -> Option<u32> {
+    let mut max_driver = None;
     for &(l, d) in bus {
-        assert!(
-            d.raw() < MAX_PACKED_DRIVERS,
-            "bus driver {d} exceeds the packed driver-id limit ({MAX_PACKED_DRIVERS})"
-        );
+        max_driver = max_driver.max(Some(d.raw()));
         out.push(PackedBusLine {
             line: l.raw(),
             driver: d.raw() as u8,
         });
+    }
+    max_driver
+}
+
+/// Panics when `max_driver` does not fit the one-byte packed driver id.
+fn assert_packable(max_driver: Option<u32>) {
+    if let Some(d) = max_driver {
+        assert!(
+            d < MAX_PACKED_DRIVERS,
+            "bus driver {} exceeds the packed driver-id limit ({MAX_PACKED_DRIVERS})",
+            CoreId::new(d)
+        );
     }
 }
 
@@ -269,7 +282,7 @@ impl PackedPattern {
         let mut words = Vec::new();
         let mut bus = Vec::new();
         pack_care(pattern.care_bits(), &mut words);
-        pack_bus(pattern.bus_lines(), &mut bus);
+        assert_packable(pack_bus(pattern.bus_lines(), &mut bus));
         PackedPattern { words, bus }
     }
 
@@ -408,6 +421,7 @@ pub struct PackedSet {
     bus: Vec<PackedBusLine>,
     spans: Vec<PackedSpan>,
     max_terminal: Option<u32>,
+    max_driver: Option<u32>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -426,6 +440,44 @@ impl PackedSet {
     /// Panics when a bus driver core id is ≥ [`MAX_PACKED_DRIVERS`].
     #[must_use]
     pub fn build(patterns: &[SiPattern]) -> Self {
+        let set = PackedSet::pack(patterns);
+        assert_packable(set.max_driver);
+        set
+    }
+
+    /// [`PackedSet::build`] for `soc`, validating in the same pass: the
+    /// largest care terminal and bus driver tracked while packing are
+    /// checked against `soc`, so a valid set costs no second walk. Only
+    /// on a violation are the patterns scanned for the first offending
+    /// item.
+    ///
+    /// # Errors
+    ///
+    /// The first [`PatternError::TerminalOutOfRange`] in set order
+    /// (exactly [`SiPatternSet::validate_for`]'s error); otherwise,
+    /// the first [`PatternError::DriverOutOfRange`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `soc` has more than [`MAX_PACKED_DRIVERS`] cores and a
+    /// bus driver core id is ≥ [`MAX_PACKED_DRIVERS`].
+    ///
+    /// [`SiPatternSet::validate_for`]: crate::SiPatternSet::validate_for
+    pub fn build_for(soc: &Soc, patterns: &[SiPattern]) -> Result<Self, PatternError> {
+        let set = PackedSet::pack(patterns);
+        let terminals_fit = set.max_terminal.map_or(true, |t| t < soc.total_wocs());
+        let drivers_fit = set
+            .max_driver
+            .map_or(true, |d| (d as usize) < soc.num_cores());
+        if !(terminals_fit && drivers_fit) {
+            first_out_of_range(soc, patterns)?;
+        }
+        assert_packable(set.max_driver);
+        Ok(set)
+    }
+
+    /// Packs without checking driver ids (see [`pack_bus`]).
+    fn pack(patterns: &[SiPattern]) -> Self {
         let total_bus: usize = patterns.iter().map(|p| p.bus_lines().len()).sum();
         // One care bit occupies at most one word: a safe upper bound that
         // avoids regrowing the arena mid-pack.
@@ -435,12 +487,15 @@ impl PackedSet {
             bus: Vec::with_capacity(total_bus),
             spans: Vec::with_capacity(patterns.len()),
             max_terminal: None,
+            max_driver: None,
         };
         for pattern in patterns {
             let word_off = set.words.len() as u32;
             let bus_off = set.bus.len() as u32;
             pack_care(pattern.care_bits(), &mut set.words);
-            pack_bus(pattern.bus_lines(), &mut set.bus);
+            set.max_driver = set
+                .max_driver
+                .max(pack_bus(pattern.bus_lines(), &mut set.bus));
             set.spans.push(PackedSpan {
                 word_off,
                 word_len: set.words.len() as u32 - word_off,
@@ -496,6 +551,29 @@ impl PackedSet {
         self.max_terminal
             .map_or(0, |t| words_for_terminals(t as usize + 1))
     }
+}
+
+/// Finds the error [`PackedSet::build_for`] returns for an out-of-range
+/// set: terminals are checked over the whole set first, so the terminal
+/// error is exactly [`crate::SiPatternSet::validate_for`]'s, then bus
+/// drivers.
+fn first_out_of_range(soc: &Soc, patterns: &[SiPattern]) -> Result<(), PatternError> {
+    patterns.iter().try_for_each(|p| p.validate_for(soc))?;
+    let cores = soc.num_cores();
+    for pattern in patterns {
+        if let Some(&(line, driver)) = pattern
+            .bus_lines()
+            .iter()
+            .find(|(_, driver)| driver.index() >= cores)
+        {
+            return Err(PatternError::DriverOutOfRange {
+                line: line.raw(),
+                driver,
+                cores,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Counters of the packed compatibility kernel, surfaced through
