@@ -1,6 +1,7 @@
 //! Timing bench for the Table 2 pipeline (p34392): one representative
 //! cell of the sweep, scaled down so it iterates quickly. The full table
-//! is regenerated by the `table2` binary.
+//! is `soctam table p34392`, regenerated in `EXPERIMENTS.md` by
+//! `soctam report`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 

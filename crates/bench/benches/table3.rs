@@ -1,6 +1,6 @@
 //! Timing bench for the Table 3 pipeline (p93791): one representative
-//! cell of the sweep. The full table is regenerated by the `table3`
-//! binary.
+//! cell of the sweep. The full table is `soctam table p93791`,
+//! regenerated in `EXPERIMENTS.md` by `soctam report`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 

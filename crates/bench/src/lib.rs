@@ -1,6 +1,6 @@
-//! Shared helpers for the table-regeneration binaries and the timing
-//! benches. Everything here is deterministic: the paper tables are
-//! reproducible bit-for-bit with the default seed.
+//! Shared helpers for the timing benches. The paper's tables are not
+//! built here: they are `soctam` tool runs, regenerated in
+//! `EXPERIMENTS.md` by `soctam report`.
 
 // Bench-harness crate: aborting on an impossible setup failure is the
 // desired behaviour for micro-benchmarks, so the panic lints are off
@@ -9,8 +9,7 @@
 // Wall-clock timing is this crate's job; it never feeds a table value.
 #![allow(clippy::disallowed_methods)]
 
-use soctam::experiment::{run_table, ExperimentConfig, ExperimentTable};
-use soctam::{Benchmark, RandomPatternConfig, SiGroupSpec, SiPatternSet, Soc, SoctamError};
+use soctam::{RandomPatternConfig, SiGroupSpec, SiPatternSet, Soc};
 
 pub mod harness {
     //! Minimal wall-clock timing harness for the `[[bench]]` binaries
@@ -21,6 +20,8 @@ pub mod harness {
 
     use std::path::PathBuf;
     use std::time::{Duration, Instant};
+
+    use soctam_registry::Json;
 
     /// Sample count for a bench binary: `default` unless the
     /// `SOCTAM_BENCH_SAMPLES` environment variable overrides it.
@@ -133,27 +134,26 @@ pub mod harness {
         /// schema, nanosecond integers).
         #[must_use]
         pub fn to_json(&self) -> String {
-            let mut out = String::from("{\n  \"schema\": \"soctam-bench/1\",\n");
-            out.push_str(&format!(
-                "  \"samples_source\": \"{}\",\n",
-                samples_source().replace('\\', "\\\\").replace('"', "\\\"")
-            ));
-            out.push_str("  \"entries\": [\n");
-            for (i, e) in self.entries.iter().enumerate() {
-                let comma = if i + 1 < self.entries.len() { "," } else { "" };
-                out.push_str(&format!(
-                    "    {{\"label\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"median_ns\": {}, \"mean_ns\": {}}}{comma}\n",
-                    // Labels are plain ASCII identifiers; escape the two
-                    // JSON-reserved characters anyway.
-                    e.label.replace('\\', "\\\\").replace('"', "\\\""),
-                    e.samples,
-                    e.min_ns,
-                    e.median_ns,
-                    e.mean_ns,
-                ));
-            }
-            out.push_str("  ]\n}\n");
-            out
+            let ns = |n: u128| Json::Int(i128::try_from(n).unwrap_or(i128::MAX));
+            let entries = self
+                .entries
+                .iter()
+                .map(|e| {
+                    Json::obj(vec![
+                        ("label", Json::str(e.label.as_str())),
+                        ("samples", Json::Int(e.samples as i128)),
+                        ("min_ns", ns(e.min_ns)),
+                        ("median_ns", ns(e.median_ns)),
+                        ("mean_ns", ns(e.mean_ns)),
+                    ])
+                })
+                .collect();
+            let report = Json::obj(vec![
+                ("schema", Json::str("soctam-bench/1")),
+                ("samples_source", Json::str(samples_source())),
+                ("entries", Json::Arr(entries)),
+            ]);
+            report.render() + "\n"
         }
 
         /// Writes the JSON report when `--json <path>` was given.
@@ -170,69 +170,10 @@ pub mod harness {
     }
 }
 
-/// The seed used by every shipped table (chosen once, never tuned).
+/// The seed of every bench input; the same as the `soctam` tools' default
+/// `--seed`, so bench cells match the shipped tables (chosen once, never
+/// tuned).
 pub const TABLE_SEED: u64 = 2007;
-
-/// Runs one full paper table (all widths, all partition counts) for a
-/// benchmark and raw pattern count.
-///
-/// # Errors
-///
-/// Forwards pipeline errors.
-pub fn paper_table(bench: Benchmark, pattern_count: usize) -> Result<ExperimentTable, SoctamError> {
-    let soc = bench.soc();
-    let mut config = ExperimentConfig::paper_sweep(pattern_count);
-    config.seed = TABLE_SEED;
-    run_table(&soc, &config)
-}
-
-/// Renders a table in Markdown (for `EXPERIMENTS.md`).
-pub fn to_markdown(table: &ExperimentTable) -> String {
-    use std::fmt::Write as _;
-
-    let mut out = String::new();
-    let parts: Vec<u32> = table
-        .rows
-        .first()
-        .map(|r| r.t_partitioned.iter().map(|&(i, _)| i).collect())
-        .unwrap_or_default();
-    let _ = writeln!(
-        out,
-        "**{} — N_r = {}** (compacted: {})\n",
-        table.soc_name,
-        table.pattern_count,
-        table
-            .compacted_counts
-            .iter()
-            .map(|(i, c)| format!("g{i}={c}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = write!(out, "| Wmax | T_[8] (cc) |");
-    for i in &parts {
-        let _ = write!(out, " T_g{i} (cc) |");
-    }
-    let _ = writeln!(out, " T_min (cc) | ΔT_[8] (%) | ΔT_g (%) |");
-    let _ = write!(out, "|---|---|");
-    for _ in &parts {
-        let _ = write!(out, "---|");
-    }
-    let _ = writeln!(out, "---|---|---|");
-    for row in &table.rows {
-        let _ = write!(out, "| {} | {} |", row.w_max, row.t_baseline);
-        for &(_, t) in &row.t_partitioned {
-            let _ = write!(out, " {t} |");
-        }
-        let _ = writeln!(
-            out,
-            " {} | {:.2} | {:.2} |",
-            row.t_min(),
-            row.delta_baseline_pct(),
-            row.delta_g_pct()
-        );
-    }
-    out
-}
 
 /// Deterministic pattern set for micro-benchmarks.
 pub fn bench_patterns(soc: &Soc, count: usize) -> SiPatternSet {
@@ -254,33 +195,33 @@ pub fn bench_groups(soc: &Soc) -> Vec<SiGroupSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn markdown_has_header_and_rows() {
-        let soc = Benchmark::D695.soc();
-        let config = ExperimentConfig {
-            pattern_count: 150,
-            widths: vec![8],
-            partitions: vec![1, 2],
-            seed: TABLE_SEED,
-        };
-        let table = run_table(&soc, &config).expect("runs");
-        let md = to_markdown(&table);
-        assert!(md.contains("| Wmax |"));
-        assert!(md.contains("T_g2"));
-        assert_eq!(md.matches("| 8 |").count(), 1);
-    }
+    use soctam::Benchmark;
+    use soctam_registry::Json;
 
     #[test]
     fn session_json_is_well_formed() {
         let mut session = harness::Session::default();
         session.bench("kernel/smoke", 2, || 1 + 1);
-        let json = session.to_json();
-        assert!(json.contains("\"schema\": \"soctam-bench/1\""));
-        assert!(json.contains("\"samples_source\": "));
-        assert!(json.contains("\"label\": \"kernel/smoke\""));
-        assert!(json.contains("\"samples\": 2"));
-        assert!(json.contains("\"min_ns\": "));
+        let json = Json::parse(&session.to_json()).expect("the report parses");
+        assert_eq!(
+            json.get("schema").and_then(Json::as_str),
+            Some("soctam-bench/1")
+        );
+        assert!(json.get("samples_source").and_then(Json::as_str).is_some());
+        let entries = json
+            .get("entries")
+            .and_then(Json::as_arr)
+            .expect("entries array");
+        assert_eq!(entries.len(), 1);
+        let entry = &entries[0];
+        assert_eq!(
+            entry.get("label").and_then(Json::as_str),
+            Some("kernel/smoke")
+        );
+        assert_eq!(entry.get("samples").and_then(Json::as_u64), Some(2));
+        for key in ["min_ns", "median_ns", "mean_ns"] {
+            assert!(entry.get(key).and_then(Json::as_u64).is_some(), "{key}");
+        }
     }
 
     #[test]

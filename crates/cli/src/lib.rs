@@ -14,7 +14,12 @@
 //! soctam optimize <soc> [options]           compaction + SI-aware TAM optimization
 //! soctam table    <soc> [options]           the paper's table sweep
 //! soctam compact  <soc> [options]           compaction statistics only
+//! soctam report   <file>                    regenerate a document's tool-output sections
 //! ```
+//!
+//! `report` is the one subcommand that is not a registry tool: it runs
+//! the commands named in a Markdown file's `<!-- soctam: ... -->`
+//! markers and rewrites their output blocks (see [`report`]).
 //!
 //! `<soc>` is either an embedded benchmark name (`d695`, `p34392`,
 //! `p93791`) or a path to an ITC'02 `.soc` file. Argument parsing is
@@ -27,11 +32,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use soctam::exec::{fault, Progress};
-use soctam::Pool;
+use soctam::{Pool, Soc};
 use soctam_registry::{
-    expand_profile, parse_cli, resolve_soc, standard_registry, ParamKind, Tool, ToolCtx, ToolError,
-    ToolErrorKind,
+    expand_profile, parse_cli, resolve_soc, standard_registry, ParamKind, ParamValues, Tool,
+    ToolCtx, ToolError, ToolErrorKind,
 };
+
+pub mod report;
 
 /// A CLI failure: a message and the exit code to report.
 #[derive(Debug)]
@@ -111,12 +118,14 @@ pub fn usage() -> String {
          \n\
          USAGE:\n\
          \x20   soctam <COMMAND> <SOC> [OPTIONS]\n\
+         \x20   soctam report <FILE>\n\
          \n\
          COMMANDS:\n",
     );
     for tool in standard_registry().tools() {
         let _ = writeln!(out, "    {:<9} {}", tool.name, tool.summary);
     }
+    let _ = writeln!(out, "    {:<9} {}", "report", report::SUMMARY);
     out.push_str(
         "\n\
          SOC:\n\
@@ -177,12 +186,25 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     // work happens; a malformed spec is a usage error, not a panic.
     fault::init_from_env()
         .map_err(|e| CliError::usage(format!("invalid {}: {e}", fault::ENV_VAR)))?;
-    let Some(command) = args.first() else {
-        return Err(CliError::usage(usage()));
-    };
-    if command == "--help" || command == "-h" {
-        return Ok(usage());
+    match args.first().map(String::as_str) {
+        None => Err(CliError::usage(usage())),
+        Some("--help" | "-h") => Ok(usage()),
+        Some("report") => report::run(&args[1..]),
+        Some(_) => execute(parse(args)?),
     }
+}
+
+/// A command line checked against its tool's schema, ready to run.
+struct Invocation {
+    tool: &'static Tool,
+    soc: Soc,
+    params: ParamValues,
+}
+
+/// Resolves `<COMMAND> <SOC> [OPTIONS]` against the registry: the tool,
+/// the SOC and every flag are checked, nothing runs.
+fn parse(args: &[String]) -> Result<Invocation, CliError> {
+    let command = args.first().map_or("", String::as_str);
     let Some(tool) = standard_registry().get(command) else {
         return Err(CliError::usage(format!(
             "unknown command `{command}` (try --help)"
@@ -203,7 +225,12 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let soc = resolve_soc(soc_spec)?;
     let mut params = parse_cli(tool.params, rest).map_err(|e| CliError::usage(e.message))?;
     expand_profile(tool.params, &mut params)?;
+    Ok(Invocation { tool, soc, params })
+}
 
+/// Runs a parsed invocation and renders its report.
+fn execute(invocation: Invocation) -> Result<String, CliError> {
+    let Invocation { tool, soc, params } = invocation;
     // `jobs` and `stats` are front-end concerns: the worker pool is
     // built here (the daemon sizes its own at startup), and statistics
     // are appended after the tool returns.
@@ -289,6 +316,41 @@ mod tests {
         .expect("runs");
         assert!(out.contains("T_[8]"));
         assert!(out.contains("T_g2"));
+    }
+
+    #[test]
+    fn ablation_orders_rail_bus_and_serial_times() {
+        let out = run(&args(&[
+            "ablation",
+            "d695",
+            "--patterns",
+            "500",
+            "--widths",
+            "8,16,32",
+        ]))
+        .expect("runs");
+        let rows: Vec<Vec<u64>> = out
+            .lines()
+            .skip(2)
+            .map(|line| {
+                line.split_whitespace()
+                    .filter_map(|cell| cell.parse().ok())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(rows.len(), 3, "{out}");
+        for row in &rows {
+            // Wmax, T_in, T_si, T_soc, T_si(ser), T_si(bus), T_soc(x4),
+            // T_soc(raw); the bus/rail ratio does not parse as u64.
+            let [_, t_in, t_si, t_soc, serial, bus, multi, raw] = row[..] else {
+                panic!("unexpected row {row:?} in\n{out}");
+            };
+            assert_eq!(t_in + t_si, t_soc, "{out}");
+            assert!(t_si <= serial, "Algorithm 1 lost to serial:\n{out}");
+            assert!(bus >= t_si, "Test Bus beat TestRail:\n{out}");
+            assert!(multi <= t_soc, "multi-start lost to one start:\n{out}");
+            assert!(raw > t_soc, "compaction did not pay:\n{out}");
+        }
     }
 
     #[test]

@@ -56,18 +56,6 @@ pub struct ExperimentConfig {
     pub seed: u64,
 }
 
-impl ExperimentConfig {
-    /// The paper's full sweep for the given `N_r`.
-    pub fn paper_sweep(pattern_count: usize) -> Self {
-        ExperimentConfig {
-            pattern_count,
-            widths: (1..=8).map(|i| i * 8).collect(),
-            partitions: vec![1, 2, 4, 8],
-            seed: 2007,
-        }
-    }
-}
-
 /// One row of a results table (one `W_max`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TableRow {
@@ -97,15 +85,12 @@ impl TableRow {
     }
 
     /// `ΔT_g = (T_g1 − T_min) / T_g1` in percent: the benefit of 2-D over
-    /// 1-D compaction.
-    pub fn delta_g_pct(&self) -> f64 {
-        let g1 = self
-            .t_partitioned
-            .iter()
-            .find(|&&(i, _)| i == 1)
-            .map(|&(_, t)| t as f64)
-            .unwrap_or(self.t_baseline as f64);
-        (g1 - self.t_min() as f64) / g1 * 100.0
+    /// 1-D compaction. `None` when `i = 1` is not swept, since there is
+    /// no `T_g1` to compare against.
+    pub fn delta_g_pct(&self) -> Option<f64> {
+        let (_, g1) = self.t_partitioned.iter().find(|&&(i, _)| i == 1)?;
+        let g1 = *g1 as f64;
+        Some((g1 - self.t_min() as f64) / g1 * 100.0)
     }
 }
 
@@ -145,13 +130,11 @@ impl fmt::Display for ExperimentTable {
             for &(_, t) in &row.t_partitioned {
                 write!(f, " {t:>10}")?;
             }
-            writeln!(
-                f,
-                " {:>10} {:>8.2} {:>7.2}",
-                row.t_min(),
-                row.delta_baseline_pct(),
-                row.delta_g_pct()
-            )?;
+            write!(f, " {:>10} {:>8.2}", row.t_min(), row.delta_baseline_pct())?;
+            match row.delta_g_pct() {
+                Some(pct) => writeln!(f, " {pct:>7.2}")?,
+                None => writeln!(f, " {:>7}", "-")?,
+            }
         }
         Ok(())
     }
@@ -362,6 +345,26 @@ mod tests {
         };
         assert_eq!(row.t_min(), 100);
         assert!((row.delta_baseline_pct() - 50.0).abs() < 1e-9);
-        assert!((row.delta_g_pct() - 100.0 / 3.0).abs() < 1e-9);
+        assert!((row.delta_g_pct().expect("i = 1 is swept") - 100.0 / 3.0).abs() < 1e-9);
+
+        // Without an `i = 1` column there is no T_g1: ΔT_g is undefined
+        // and renders as `-`, never as a copy of ΔT_[8].
+        let row = TableRow {
+            w_max: 8,
+            t_baseline: 200,
+            t_partitioned: vec![(2, 150), (4, 100)],
+        };
+        assert_eq!(row.delta_g_pct(), None);
+        let table = ExperimentTable {
+            soc_name: "x".into(),
+            pattern_count: 1,
+            compacted_counts: vec![(2, 1), (4, 1)],
+            rows: vec![row],
+        };
+        let last = table.to_string().lines().last().map(str::to_owned);
+        assert_eq!(
+            last.as_deref(),
+            Some("    8        200        150        100        100    50.00       -")
+        );
     }
 }

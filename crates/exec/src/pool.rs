@@ -458,7 +458,15 @@ impl Pool {
 
 impl Drop for PoolCore {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raise the flag under the injector lock. A worker reads it under
+        // that lock just before it parks, so it either sees the flag or
+        // is already parked when the notify below arrives. Raised without
+        // the lock, the notify could land in between and the join below
+        // would wait forever on a worker that never wakes.
+        {
+            let _queue = lock_recover(&self.shared.injector);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_available.notify_all();
         let handles = std::mem::take(&mut *lock_recover(&self.handles));
         for handle in handles {
@@ -612,6 +620,15 @@ mod tests {
         let order = Mutex::new(Vec::new());
         pool.par_map_index(10, |i| order.lock().unwrap().push(i));
         assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<_>>());
+    }
+
+    /// A worker that checked the shutdown flag but had not yet parked
+    /// used to miss the drop's wakeup, hanging the join forever.
+    #[test]
+    fn dropping_fresh_pools_never_hangs() {
+        for _ in 0..20_000 {
+            drop(Pool::new(4));
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use soctam::tam::{render_schedule, render_schedule_svg};
 use soctam::{
     compact_two_dimensional_with, BackendKind, Benchmark, CompactionConfig, EvalCache, Objective,
     OptimizerBudget, RandomPatternConfig, SiGroupSpec, SiOptimizer, SiPatternSet, Soc, SoctamError,
+    TamOptimizer, TestBusEvaluator,
 };
 
 use crate::param::{ParamKind, ParamSpec, ParamValues};
@@ -150,6 +151,7 @@ static COMPACT_PARAMS: &[ParamSpec] = &[PATTERNS, PARTITIONS, SEED, JOBS, STATS]
 static EXPORT_PARAMS: &[ParamSpec] = &[];
 static BOUNDS_PARAMS: &[ParamSpec] = &[PATTERNS, PARTITIONS, WIDTHS, SEED, JOBS];
 static SIMULATE_PARAMS: &[ParamSpec] = &[PATTERNS, WIDTH, PARTITIONS, SEED, JOBS];
+static ABLATION_PARAMS: &[ParamSpec] = &[PATTERNS, WIDTHS, PARTITIONS, SEED, JOBS];
 
 /// The registry both front ends are generated from.
 pub fn standard_registry() -> &'static ToolRegistry {
@@ -197,6 +199,12 @@ pub fn standard_registry() -> &'static ToolRegistry {
             summary: "cross-check the timing model against the bit-level simulator",
             params: SIMULATE_PARAMS,
             run: simulate_tool,
+        });
+        reg.register(Tool {
+            name: "ablation",
+            summary: "ablate compaction, Algorithm 1 and multi-start; TestRail vs Test Bus",
+            params: ABLATION_PARAMS,
+            run: ablation_tool,
         });
         reg
     })
@@ -564,6 +572,89 @@ fn simulate_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolO
     Ok(ToolOutput::text(out))
 }
 
+/// The design choices no table column isolates, per width: the
+/// SI-aware optimum on the `i`-way compacted groups (`T_in`, `T_si`,
+/// `T_soc`) against the same SI tests scheduled serially instead of by
+/// Algorithm 1, scored under Test Bus semantics on the same core/width
+/// assignment (the paper's Section 2 architecture claim), optimized
+/// with four starts instead of one, and optimized with no compaction
+/// at all (every raw pattern loaded on every core).
+fn ablation_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolOutput, ToolError> {
+    let pool = &ctx.pool;
+    let pattern_count = params.usize("patterns");
+    let parts = params.u32("partitions");
+    let seed = params.u64("seed");
+    let patterns = SiPatternSet::random_with(
+        soc,
+        &RandomPatternConfig::new(pattern_count).with_seed(seed),
+        pool,
+    )
+    .map_err(pipeline_err)?;
+    let compacted = compact_two_dimensional_with(
+        soc,
+        &patterns,
+        &CompactionConfig::new(parts).with_seed(seed),
+        pool,
+    )
+    .map_err(pipeline_err)?;
+    let groups = SiGroupSpec::from_compacted(&compacted);
+    let uncompacted = vec![SiGroupSpec::new(
+        soc.core_ids().collect(),
+        pattern_count as u64,
+    )];
+
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{}: ablation (N_r = {pattern_count}, i = {parts})",
+        soc.name()
+    );
+    let _ = writeln!(
+        out,
+        "{:>5} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>10} {:>11}",
+        "Wmax",
+        "T_in",
+        "T_si",
+        "T_soc",
+        "T_si(ser)",
+        "T_si(bus)",
+        "bus/rail",
+        "T_soc(x4)",
+        "T_soc(raw)"
+    );
+    for &w_max in &params.u32_list("widths") {
+        let optimizer = TamOptimizer::new(soc, w_max, groups.clone())
+            .map_err(pipeline_err)?
+            .pool(pool.clone());
+        let single = optimizer.optimize().map_err(pipeline_err)?;
+        let multi = optimizer.optimize_multi(4).map_err(pipeline_err)?;
+        let raw = TamOptimizer::new(soc, w_max, uncompacted.clone())
+            .map_err(pipeline_err)?
+            .pool(pool.clone())
+            .optimize()
+            .map_err(pipeline_err)?;
+        let eval = single.evaluation();
+        let serial: u64 = eval.group_times.iter().map(|g| g.time).sum();
+        let bus = TestBusEvaluator::new(soc, w_max, groups.clone())
+            .map_err(pipeline_err)?
+            .evaluate(single.architecture());
+        let _ = writeln!(
+            out,
+            "{:>5} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7.2}x {:>10} {:>11}",
+            w_max,
+            eval.t_in,
+            eval.t_si,
+            eval.t_total(),
+            serial,
+            bus.t_si,
+            bus.t_si as f64 / eval.t_si.max(1) as f64,
+            multi.evaluation().t_total(),
+            raw.evaluation().t_total()
+        );
+    }
+    Ok(ToolOutput::text(out))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,11 +676,13 @@ mod tests {
     }
 
     #[test]
-    fn registry_lists_all_seven_tools() {
+    fn registry_lists_all_eight_tools() {
         let names: Vec<&str> = standard_registry().tools().iter().map(|t| t.name).collect();
         assert_eq!(
             names,
-            vec!["info", "optimize", "table", "compact", "export", "bounds", "simulate"]
+            vec![
+                "info", "optimize", "table", "compact", "export", "bounds", "simulate", "ablation"
+            ]
         );
     }
 

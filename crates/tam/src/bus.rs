@@ -13,8 +13,8 @@
 //! * SI tests cannot overlap at all (no Algorithm-1 parallelism).
 //!
 //! [`TestBusEvaluator`] scores a core/width assignment under these rules,
-//! making the TestRail advantage measurable (see the `architecture_compare`
-//! ablation in `soctam-bench`).
+//! making the TestRail advantage measurable (the `T_si(bus)` column of
+//! `soctam ablation`).
 
 use std::sync::Arc;
 

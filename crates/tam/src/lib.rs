@@ -48,7 +48,6 @@ mod bus;
 mod error;
 mod evaluator;
 mod optimizer;
-pub mod power;
 mod rail;
 mod render;
 pub mod report;
