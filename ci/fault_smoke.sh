@@ -83,19 +83,6 @@ run "tam.merge=panic"                d695
 run "tam.rail_eval=panic"            d695
 run "tam.schedule=panic"             d695
 run "exec.cache.lookup=panic"        d695
-run "tam.rectpack=panic"             d695 --backend rect-pack
-
-# The rect-pack site lives only on the rect-pack path: armed against the
-# default backend it is never reached, so the run must succeed.
-SOCTAM_FAILPOINTS="tam.rectpack=panic" "$BIN" optimize d695 \
-    --patterns 500 --width 8 --partitions 2 >/dev/null 2>&1
-code=$?
-if [ "$code" -ne 0 ]; then
-    echo "FAIL [tam.rectpack default]: site fired on the default backend (exit $code)"
-    failures=$((failures + 1))
-else
-    echo "ok   [tam.rectpack default] -> unreachable on tr-architect, exit 0"
-fi
 
 # A malformed spec must be rejected up front as a usage error (exit 2),
 # not silently ignored.

@@ -14,8 +14,8 @@ pub enum CompactionError {
     Pattern(PatternError),
     /// Core partitioning failed (forwarded from the hypergraph crate).
     Partition(HypergraphError),
-    /// More partitions were requested than the SOC has cores.
-    TooManyPartitions {
+    /// The partition count is outside `1..=cores`.
+    PartitionsOutOfRange {
         /// Requested partition count.
         partitions: u32,
         /// Cores available.
@@ -40,9 +40,10 @@ impl fmt::Display for CompactionError {
         match self {
             CompactionError::Pattern(e) => write!(f, "invalid pattern: {e}"),
             CompactionError::Partition(e) => write!(f, "core partitioning failed: {e}"),
-            CompactionError::TooManyPartitions { partitions, cores } => {
-                write!(f, "{partitions} partitions requested for {cores} cores")
-            }
+            CompactionError::PartitionsOutOfRange { partitions, cores } => write!(
+                f,
+                "{partitions} partitions requested for {cores} cores; valid range is 1..={cores}"
+            ),
             CompactionError::SetTooLargeForExactCover { patterns, limit } => write!(
                 f,
                 "exact clique cover supports at most {limit} patterns, got {patterns}"

@@ -149,8 +149,8 @@ impl PatternGrouping {
 ///
 /// # Errors
 ///
-/// [`CompactionError::TooManyPartitions`] when `parts` exceeds the core
-/// count, or a forwarded partitioning error.
+/// [`CompactionError::PartitionsOutOfRange`] when `parts` is 0 or
+/// exceeds the core count, or a forwarded partitioning error.
 ///
 /// # Panics
 ///
@@ -183,13 +183,13 @@ pub fn group_patterns_packed(
     parts: u32,
     partition_config: &PartitionConfig,
 ) -> Result<PatternGrouping, CompactionError> {
-    if parts as usize > soc.num_cores() {
-        return Err(CompactionError::TooManyPartitions {
+    if parts == 0 || parts as usize > soc.num_cores() {
+        return Err(CompactionError::PartitionsOutOfRange {
             partitions: parts,
             cores: soc.num_cores(),
         });
     }
-    if parts <= 1 {
+    if parts == 1 {
         return Ok(PatternGrouping {
             core_part: vec![0u32; soc.num_cores()],
             parts: 1,
@@ -392,10 +392,18 @@ mod tests {
     #[test]
     fn too_many_partitions_rejected() {
         let (soc, set) = setup(10);
-        assert!(matches!(
-            group_patterns(&soc, set.as_slice(), 11, &PartitionConfig::new(11)),
-            Err(CompactionError::TooManyPartitions { .. })
-        ));
+        for parts in [0, 11] {
+            let err = group_patterns(&soc, set.as_slice(), parts, &PartitionConfig::new(parts))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                CompactionError::PartitionsOutOfRange {
+                    partitions: parts,
+                    cores: 10,
+                }
+            );
+            assert!(err.to_string().contains("valid range is 1..=10"), "{err}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl CompactionConfig {
     pub fn new(partitions: u32) -> Self {
         CompactionConfig {
             partitions,
-            partition_config: PartitionConfig::new(partitions.max(1)),
+            partition_config: PartitionConfig::new(partitions),
         }
     }
 
@@ -64,7 +64,7 @@ impl CompactionConfig {
 ///   [`TerminalOutOfRange`](soctam_patterns::PatternError::TerminalOutOfRange)
 ///   (exactly [`SiPatternSet::validate_for`]'s), else the first
 ///   [`DriverOutOfRange`](soctam_patterns::PatternError::DriverOutOfRange);
-/// * [`CompactionError::TooManyPartitions`] / partitioning failures.
+/// * [`CompactionError::PartitionsOutOfRange`] / partitioning failures.
 ///
 /// # Example
 ///
@@ -124,7 +124,7 @@ pub fn compact_two_dimensional_with(
 
     let mut stats = CompactionStats {
         raw_patterns: raw.len(),
-        partitions: config.partitions.max(1),
+        partitions: config.partitions,
         cut_weight: grouping.cut_weight,
         raw_remainder_patterns: grouping.remainder.len(),
         ..CompactionStats::default()

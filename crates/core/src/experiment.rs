@@ -39,7 +39,7 @@ use soctam_compaction::{compact_two_dimensional_with, CompactionConfig};
 use soctam_exec::{CancelToken, Pool, Progress};
 use soctam_model::Soc;
 use soctam_patterns::{RandomPatternConfig, SiPatternSet};
-use soctam_tam::{backend_for, BackendCtx, BackendKind, Objective, SiGroupSpec};
+use soctam_tam::{BackendCtx, Objective, SiGroupSpec, TrArchitectBackend};
 
 use crate::SoctamError;
 
@@ -171,9 +171,6 @@ pub struct TableOpts {
     /// grid cell degrade to its best-so-far architecture (the run still
     /// returns a complete, valid table).
     pub cancel: Option<CancelToken>,
-    /// TAM-optimization backend used for every grid cell (baseline
-    /// column included). Defaults to [`BackendKind::TrArchitect`].
-    pub backend: BackendKind,
 }
 
 /// [`run_table`] with every stage on `pool` and the extras in `opts`:
@@ -259,10 +256,7 @@ pub fn run_table_opts(
                 progress: opts.progress.as_ref().map(Arc::clone),
                 cancel: opts.cancel.clone(),
             };
-            Ok(backend_for(opts.backend)
-                .optimize(&ctx)?
-                .evaluation()
-                .t_total())
+            Ok(TrArchitectBackend.optimize(&ctx)?.evaluation().t_total())
         })
         .into_iter()
         .collect()

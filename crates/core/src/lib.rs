@@ -69,8 +69,8 @@ pub use soctam_exec::{FaultAction, FaultError, Metrics, MetricsSnapshot, Pool};
 pub use soctam_model::{Benchmark, CoreId, CoreSpec, Diagnostic, Diagnostics, Soc, TerminalId};
 pub use soctam_patterns::{RandomPatternConfig, SiPattern, SiPatternSet, Symbol};
 pub use soctam_tam::{
-    backend_for, BackendCaps, BackendCtx, BackendKind, DeltaCost, EvalCache, Evaluation, Evaluator,
-    Objective, OptimizedArchitecture, OptimizerBudget, RailEval, SiGroupSpec, SwapState,
-    TamBackend, TamOptimizer, TestBusEvaluator, TestRail, TestRailArchitecture,
+    backend_for, BackendCtx, BackendKind, DeltaCost, EvalCache, Evaluation, Evaluator, Objective,
+    OptimizedArchitecture, OptimizerBudget, RailEval, SiGroupSpec, SwapState, TamOptimizer,
+    TestBusEvaluator, TestRail, TestRailArchitecture, TrArchitectBackend,
 };
 pub use soctam_wrapper::{intest_time, si_time, TimeTable, WrapperDesign};

@@ -8,8 +8,8 @@ use soctam_exec::{fault, CancelToken, Metrics, Pool, Progress};
 use soctam_model::Soc;
 use soctam_patterns::SiPatternSet;
 use soctam_tam::{
-    backend_for, BackendCtx, BackendKind, EvalCache, Evaluation, Objective, OptimizedArchitecture,
-    OptimizerBudget, SiGroupSpec, TestRailArchitecture,
+    BackendCtx, EvalCache, Evaluation, Objective, OptimizedArchitecture, OptimizerBudget,
+    SiGroupSpec, TestRailArchitecture, TrArchitectBackend,
 };
 
 use crate::SoctamError;
@@ -65,7 +65,6 @@ pub struct SiOptimizer<'a> {
     partitions: u32,
     seed: u64,
     objective: Objective,
-    backend: BackendKind,
     restarts: u32,
     pool: Pool,
     probe_pool: Option<Pool>,
@@ -85,7 +84,6 @@ impl<'a> SiOptimizer<'a> {
             partitions: 4,
             seed: 0,
             objective: Objective::Total,
-            backend: BackendKind::TrArchitect,
             restarts: 1,
             pool: Pool::serial(),
             probe_pool: None,
@@ -185,15 +183,6 @@ impl<'a> SiOptimizer<'a> {
         self
     }
 
-    /// Selects the TAM-optimization backend. The default,
-    /// [`BackendKind::TrArchitect`], is the paper's bandwidth-matching
-    /// `TAM_Optimization`; every backend reports the shared
-    /// `Evaluator`'s verdict on its architecture.
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Runs compaction and optimization on `patterns`, with strict
     /// validation at every stage boundary: the SOC and the pattern set
     /// are validated before compaction, and the final SI schedule is
@@ -251,7 +240,7 @@ impl<'a> SiOptimizer<'a> {
             let optimized = self
                 .pool
                 .metrics()
-                .time("optimize", || backend_for(self.backend).optimize(&ctx))?;
+                .time("optimize", || TrArchitectBackend.optimize(&ctx))?;
             Ok(optimized)
         })?;
         optimized.evaluation().schedule.validate().into_result()?;

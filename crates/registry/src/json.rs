@@ -424,21 +424,25 @@ impl Parser<'_> {
         Ok(value)
     }
 
+    /// One number in the grammar of RFC 8259 §6:
+    /// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`. Text with
+    /// no fraction or exponent is a [`Json::Int`]; the rest must be a
+    /// finite [`Json::Float`].
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+        } else {
+            self.digits()?;
         }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -446,20 +450,36 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
+        let out_of_range = || JsonError {
+            offset: start,
+            message: "number out of range".to_owned(),
+        };
         if is_float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| self.err("invalid number"))
+            match text.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(Json::Float(x)),
+                _ => Err(out_of_range()),
+            }
         } else {
             text.parse::<i128>()
                 .map(Json::Int)
-                .map_err(|_| self.err("number out of range"))
+                .map_err(|_| out_of_range())
+        }
+    }
+
+    /// Consumes one or more ASCII digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            Err(self.err("expected a digit"))
+        } else {
+            Ok(())
         }
     }
 }
@@ -483,6 +503,44 @@ mod tests {
         let value = Json::parse(text).unwrap();
         assert_eq!(value.render(), text);
         assert_eq!(value.get("b").unwrap().get("c"), Some(&Json::Int(-7)));
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for bad in [
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "1.e5",
+            r#"{"p":1.}"#,
+            "-.5",
+            ".5",
+            "+1",
+            "-",
+            "1e",
+            "1e+",
+            "1e400",
+            "-1e400",
+        ] {
+            assert!(Json::parse(bad).is_err(), "`{bad}` must be rejected");
+        }
+        assert_eq!(Json::parse("-").unwrap_err().message, "expected a digit");
+        assert_eq!(
+            Json::parse("1e400").unwrap_err().message,
+            "number out of range"
+        );
+        for (good, value) in [
+            ("0", Json::Int(0)),
+            ("-0", Json::Int(0)),
+            ("10", Json::Int(10)),
+            ("0.5", Json::Float(0.5)),
+            ("-0.5e1", Json::Float(-5.0)),
+            ("1E+2", Json::Float(100.0)),
+            ("1e-2", Json::Float(0.01)),
+        ] {
+            assert_eq!(Json::parse(good), Ok(value), "`{good}`");
+        }
     }
 
     #[test]

@@ -115,8 +115,8 @@ const BACKEND: ParamSpec = ParamSpec::new(
     "backend",
     ParamKind::Enum(BackendKind::NAMES),
     Some("tr-architect"),
-    "TAM-optimization backend: tr-architect (bandwidth matching, \
-     Algorithm 2) or rect-pack (Pareto rectangle packing)",
+    "TAM optimizer; the only value is tr-architect (bandwidth-matching \
+     TAM_Optimization, Algorithm 2)",
 );
 const CACHE_CAP: ParamSpec = ParamSpec::new(
     "cache-cap",
@@ -248,19 +248,6 @@ pub fn budget_from(params: &ParamValues) -> OptimizerBudget {
     budget
 }
 
-/// The TAM-optimization backend the parameters select. The enum spec
-/// already validated membership, so a parse failure here would be a
-/// drift bug between [`BackendKind::NAMES`] and the spec — surfaced as
-/// a usage error rather than a panic.
-pub fn backend_from(params: &ParamValues) -> Result<BackendKind, ToolError> {
-    match params.opt_str("backend") {
-        None => Ok(BackendKind::default()),
-        Some(name) => name
-            .parse::<BackendKind>()
-            .map_err(|e| ToolError::usage(e.to_string())),
-    }
-}
-
 /// The evaluator cache an invocation runs with: the front end's shared
 /// store when one is attached (the daemon), else a fresh bounded store
 /// when `cache-cap` was given, else none (the optimizer's private
@@ -352,7 +339,6 @@ fn optimize_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolO
         .partitions(params.u32("partitions"))
         .seed(params.u64("seed"))
         .objective(objective)
-        .backend(backend_from(params)?)
         .budget(budget_from(params))
         .pool(pool.clone());
     if let Some(probe_pool) = probe_pool_from(params) {
@@ -415,7 +401,6 @@ fn table_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolOutp
         probe_pool: probe_pool_from(params),
         progress: ctx.progress.clone(),
         cancel: ctx.cancel.clone(),
-        backend: backend_from(params)?,
     };
     let table = run_table_opts(soc, &config, &ctx.pool, &opts).map_err(pipeline_err)?;
     Ok(ToolOutput::text(table.to_string()))
@@ -725,38 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_flag_selects_rect_pack_on_optimize_and_table() {
-        let soc = Benchmark::D695.soc();
-        let base = &["--patterns", "150", "--width", "8", "--partitions", "2"][..];
-        let default_run = invoke("optimize", &soc, base, &ctx());
-        let explicit = [base, &["--backend", "tr-architect"]].concat();
-        assert_eq!(
-            invoke("optimize", &soc, &explicit, &ctx()),
-            default_run,
-            "explicit tr-architect must equal the default"
-        );
-        let rect = [base, &["--backend", "rect-pack"]].concat();
-        let rect_run = invoke("optimize", &soc, &rect, &ctx());
-        assert!(rect_run.text.contains("T_soc"));
-        let table = invoke(
-            "table",
-            &soc,
-            &[
-                "--patterns",
-                "150",
-                "--widths",
-                "8",
-                "--parts",
-                "1",
-                "--backend",
-                "rect-pack",
-            ],
-            &ctx(),
-        );
-        assert!(table.text.contains("8"));
-    }
-
-    #[test]
     fn backend_schema_is_the_canonical_enum() {
         let tool = standard_registry().get("optimize").expect("registered");
         let spec = tool
@@ -767,7 +720,7 @@ mod tests {
         assert_eq!(spec.kind, ParamKind::Enum(BackendKind::NAMES));
         assert_eq!(spec.default, Some("tr-architect"));
         let schema = spec.schema().render();
-        assert!(schema.contains(r#""values":["tr-architect","rect-pack"]"#));
+        assert!(schema.contains(r#""values":["tr-architect"]"#));
     }
 
     #[test]

@@ -23,16 +23,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use soctam::{BackendKind, EvalCache, MetricsSnapshot, Pool, Soc};
+use soctam::{EvalCache, MetricsSnapshot, Pool, Soc};
 use soctam_exec::fault::panic_message;
-use soctam_exec::{fault, signal, CancelToken, Progress};
+use soctam_exec::{fault, signal};
 use soctam_registry::{
     parse_json, resolve_soc, resolve_soc_text, standard_registry, Json, ParamValue, ToolCtx,
     ToolError, ToolErrorKind,
 };
 
 use crate::http::{read_request, write_response_with, Request};
-use crate::job::{parse_job_id, CancelOutcome, JobManager, JobResult, SubmitRejected};
+use crate::job::{parse_job_id, CancelOutcome, JobManager, JobResult, SubmitRejected, WorkItem};
 use crate::journal::Journal;
 
 pub use crate::job::RecoverMode;
@@ -114,18 +114,6 @@ struct ServerState {
     next_id: AtomicU64,
     shutdown: AtomicBool,
     jobs: JobManager,
-    /// Per-backend invocation counters, aligned with
-    /// [`BackendKind::NAMES`]; counts every successfully-parsed request
-    /// that carries a backend parameter (sync and job paths alike).
-    backend_runs: [AtomicU64; 2],
-}
-
-impl ServerState {
-    fn count_backend(&self, name: &str) {
-        if let Some(i) = BackendKind::NAMES.iter().position(|n| *n == name) {
-            self.backend_runs[i].fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A bound, not-yet-running daemon.
@@ -196,7 +184,6 @@ impl Server {
                 next_id: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
                 jobs,
-                backend_runs: [AtomicU64::new(0), AtomicU64::new(0)],
             }),
             job_workers: config.job_workers.max(1),
             stats: config.stats,
@@ -463,20 +450,20 @@ fn invoke_tool(name: &str, body: &str, state: &ServerState) -> Response {
         .retry_after(RETRY_AFTER_SECS);
     }
 
-    respond_with_id(execute(name, body, state, None, None), &request_id)
+    let ctx = ToolCtx {
+        pool: state.pool.clone(),
+        eval_cache: Some(state.cache.clone()),
+        progress: None,
+        cancel: None,
+    };
+    respond_with_id(execute(name, body, &ctx), &request_id)
 }
 
 /// Runs one tool invocation to a response envelope. The body never
 /// contains a request ID: the synchronous path prepends one via
 /// [`respond_with_id`], while job results must be byte-identical
 /// across runs and restarts.
-fn execute(
-    name: &str,
-    body: &str,
-    state: &ServerState,
-    cancel: Option<CancelToken>,
-    progress: Option<Arc<Progress>>,
-) -> Response {
+fn execute(name: &str, body: &str, ctx: &ToolCtx) -> Response {
     let Some(tool) = standard_registry().get(name) else {
         return Response::error(
             404,
@@ -493,22 +480,12 @@ fn execute(
         Ok(pair) => pair,
         Err(response) => return response,
     };
-    if let Some(backend) = params.opt_str("backend") {
-        state.count_backend(backend);
-    }
-
     // Failpoint: dispatch-path fault → structured 500.
     if let Err(e) = fault::check("serve.dispatch") {
         return Response::error(500, None, "failed", &ToolError::failed(e.to_string()));
     }
 
-    let ctx = ToolCtx {
-        pool: state.pool.clone(),
-        eval_cache: Some(state.cache.clone()),
-        progress,
-        cancel,
-    };
-    let outcome = catch_unwind(AssertUnwindSafe(|| (tool.run)(&soc, &params, &ctx)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| (tool.run)(&soc, &params, ctx)));
     match outcome {
         Ok(Ok(output)) => Response::json(
             200,
@@ -536,44 +513,48 @@ fn execute(
 }
 
 /// One background job worker: drains the queue until the manager says
-/// to exit. A panicking job (including an armed `serve.job` panic
-/// failpoint) costs that job, never the worker.
+/// to exit.
 fn job_worker_loop(state: &Arc<ServerState>) {
     while let Some(item) = state.jobs.take_next() {
         state.inflight.fetch_add(1, Ordering::SeqCst);
         let guard = InflightGuard(state);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // Failpoint: job-path fault after `started` is journaled,
-            // before dispatch — the window a crash leaves a job
-            // interrupted.
-            if let Err(e) = fault::check("serve.job") {
-                return Response::error(500, None, "failed", &ToolError::failed(e.to_string()));
-            }
-            execute(
-                &item.tool,
-                &item.body,
-                state,
-                Some(item.cancel.clone()),
-                Some(Arc::clone(&item.progress)),
-            )
-        }));
+        let result = run_job(&item, state.pool.clone(), Some(state.cache.clone()));
         drop(guard);
-        let response = match outcome {
-            Ok(response) => response,
-            Err(panic) => Response::error(
-                500,
-                None,
-                "internal",
-                &ToolError::failed(panic_message(panic.as_ref())),
-            ),
-        };
-        state.jobs.finish(
-            item.id,
-            JobResult {
-                status: response.status,
-                body: response.body,
-            },
-        );
+        state.jobs.finish(item.id, result);
+    }
+}
+
+/// Runs one job to its result on `pool`, observing the item's cancel
+/// token and publishing into its progress sink. A panicking job
+/// (including an armed `serve.job` panic failpoint) costs that job,
+/// never the worker.
+pub(crate) fn run_job(item: &WorkItem, pool: Pool, eval_cache: Option<EvalCache>) -> JobResult {
+    let ctx = ToolCtx {
+        pool,
+        eval_cache,
+        progress: Some(Arc::clone(&item.progress)),
+        cancel: Some(item.cancel.clone()),
+    };
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        // Failpoint: job-path fault after `started` is journaled,
+        // before dispatch — the window a crash leaves a job
+        // interrupted.
+        if let Err(e) = fault::check("serve.job") {
+            return Response::error(500, None, "failed", &ToolError::failed(e.to_string()));
+        }
+        execute(&item.tool, &item.body, &ctx)
+    }));
+    let response = outcome.unwrap_or_else(|panic| {
+        Response::error(
+            500,
+            None,
+            "internal",
+            &ToolError::failed(panic_message(panic.as_ref())),
+        )
+    });
+    JobResult {
+        status: response.status,
+        body: response.body,
     }
 }
 
@@ -845,16 +826,6 @@ fn metrics_json(state: &ServerState) -> Json {
                     Json::Int(state.rejected.load(Ordering::Relaxed) as i128),
                 ),
             ]),
-        ),
-        (
-            "backends",
-            Json::obj(
-                BackendKind::NAMES
-                    .iter()
-                    .zip(&state.backend_runs)
-                    .map(|(name, runs)| (*name, Json::Int(runs.load(Ordering::Relaxed) as i128)))
-                    .collect(),
-            ),
         ),
         ("jobs", state.jobs.metrics_json()),
         (

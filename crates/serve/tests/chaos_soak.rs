@@ -21,7 +21,8 @@
 // the clock.
 #![allow(clippy::disallowed_methods)]
 
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use soctam_exec::fault::{self, FaultAction};
@@ -30,8 +31,8 @@ use soctam_registry::Json;
 use soctam_serve::journal::Journal;
 use soctam_serve::{client, Server, ServerConfig};
 
-/// Every failpoint site in the workspace; the soak must cover at least
-/// ten (the ISSUE floor) and this list is the exhaustive fifteen.
+/// Every failpoint site in the workspace, sorted;
+/// `sites_are_every_failpoint_in_the_source` keeps the list exhaustive.
 const SITES: &[&str] = &[
     "compaction.bucket",
     "compaction.partition",
@@ -46,7 +47,6 @@ const SITES: &[&str] = &[
     "tam.merge",
     "tam.probe",
     "tam.rail_eval",
-    "tam.rectpack",
     "tam.schedule",
 ];
 
@@ -56,10 +56,6 @@ const SHAPES: &[(&str, &str)] = &[
     (
         "optimize",
         r#"{"soc":"d695","params":{"patterns":100,"width":8,"partitions":2}}"#,
-    ),
-    (
-        "optimize",
-        r#"{"soc":"d695","params":{"patterns":100,"width":8,"partitions":2,"backend":"rect-pack"}}"#,
     ),
     ("info", r#"{"soc":"d695"}"#),
     ("bounds", r#"{"soc":"d695","params":{"patterns":100}}"#),
@@ -303,4 +299,49 @@ fn chaos_soak_keeps_every_invariant_under_randomized_faults() {
     assert!(!replay.records.is_empty(), "the soak journaled job traffic");
 
     let _ = std::fs::remove_file(&journal_path);
+}
+
+/// Appends every `.rs` file under `dir` to `out`.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The site literal of every `fault::hit("…")` and `fault::check("…")`
+/// call under `crates/*/src`.
+fn failpoints_in_source() -> BTreeSet<String> {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&crates).expect("crates dir") {
+        let src = entry.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    let mut sites = BTreeSet::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("readable source file");
+        for call in ["fault::hit(\"", "fault::check(\""] {
+            for (at, _) in text.match_indices(call) {
+                let rest = &text[at + call.len()..];
+                let end = rest.find('"').expect("terminated site literal");
+                sites.insert(rest[..end].to_owned());
+            }
+        }
+    }
+    sites
+}
+
+#[test]
+fn sites_are_every_failpoint_in_the_source() {
+    let listed: BTreeSet<String> = SITES.iter().map(|s| (*s).to_owned()).collect();
+    assert_eq!(listed.len(), SITES.len(), "SITES has duplicates");
+    assert_eq!(failpoints_in_source(), listed);
+    assert!(SITES.len() >= 10, "the soak covers at least ten sites");
 }

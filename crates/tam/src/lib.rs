@@ -53,10 +53,7 @@ mod render;
 pub mod report;
 mod schedule;
 
-pub use backend::{
-    backend_for, BackendCaps, BackendCtx, BackendKind, RectPackBackend, TamBackend,
-    TrArchitectBackend,
-};
+pub use backend::{backend_for, BackendCtx, BackendKind, TrArchitectBackend};
 pub use budget::OptimizerBudget;
 pub use bus::TestBusEvaluator;
 

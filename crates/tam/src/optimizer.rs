@@ -53,22 +53,6 @@ impl OptimizedArchitecture {
     pub fn degraded(&self) -> bool {
         self.degraded
     }
-
-    /// Assembles a result from backend-produced parts. `evaluation`
-    /// must be the shared [`Evaluator`]'s verdict on exactly
-    /// `architecture` — the Evaluator-as-referee invariant every
-    /// [`TamBackend`](crate::TamBackend) upholds.
-    pub(crate) fn from_parts(
-        architecture: TestRailArchitecture,
-        evaluation: Evaluation,
-        degraded: bool,
-    ) -> Self {
-        OptimizedArchitecture {
-            architecture,
-            evaluation,
-            degraded,
-        }
-    }
 }
 
 /// SI-aware TestRail architecture optimizer (Algorithm 2).

@@ -13,8 +13,8 @@
 
 use soctam::experiment::{run_table, run_table_opts, ExperimentConfig, TableOpts};
 use soctam::{
-    BackendKind, Benchmark, OptimizerBudget, Pool, RandomPatternConfig, SiOptimizationResult,
-    SiOptimizer, SiPatternSet,
+    Benchmark, OptimizerBudget, Pool, RandomPatternConfig, SiOptimizationResult, SiOptimizer,
+    SiPatternSet,
 };
 
 const JOBS: [usize; 3] = [1, 4, 8];
@@ -26,12 +26,11 @@ fn job_grid() -> impl Iterator<Item = (usize, usize)> {
         .flat_map(|jobs| PROBE_JOBS.into_iter().map(move |probe| (jobs, probe)))
 }
 
-fn optimize_backend(
+fn optimize(
     bench: Benchmark,
     patterns: usize,
     jobs: usize,
     probe_jobs: usize,
-    backend: BackendKind,
 ) -> SiOptimizationResult {
     let soc = bench.soc();
     let set = SiPatternSet::random_with(
@@ -44,38 +43,33 @@ fn optimize_backend(
         .max_tam_width(16)
         .partitions(2)
         .seed(3)
-        .pool(Pool::new(jobs))
-        .backend(backend);
+        .pool(Pool::new(jobs));
     if probe_jobs != 1 {
         opt = opt.probe_pool(Pool::new(probe_jobs));
     }
     opt.optimize(&set).expect("optimizes")
 }
 
-fn assert_identical_backend_runs(bench: Benchmark, patterns: usize, backend: BackendKind) {
-    let baseline = optimize_backend(bench, patterns, 1, 1, backend);
+fn assert_identical_runs(bench: Benchmark, patterns: usize) {
+    let baseline = optimize(bench, patterns, 1, 1);
     for (jobs, probe_jobs) in job_grid().skip(1) {
-        let run = optimize_backend(bench, patterns, jobs, probe_jobs, backend);
+        let run = optimize(bench, patterns, jobs, probe_jobs);
         assert_eq!(
             run.compacted().groups(),
             baseline.compacted().groups(),
-            "{bench}/{backend}: compacted groups diverge at jobs={jobs} probe-jobs={probe_jobs}"
+            "{bench}: compacted groups diverge at jobs={jobs} probe-jobs={probe_jobs}"
         );
         assert_eq!(
             run.architecture(),
             baseline.architecture(),
-            "{bench}/{backend}: architecture diverges at jobs={jobs} probe-jobs={probe_jobs}"
+            "{bench}: architecture diverges at jobs={jobs} probe-jobs={probe_jobs}"
         );
         assert_eq!(
             run.evaluation(),
             baseline.evaluation(),
-            "{bench}/{backend}: schedule diverges at jobs={jobs} probe-jobs={probe_jobs}"
+            "{bench}: schedule diverges at jobs={jobs} probe-jobs={probe_jobs}"
         );
     }
-}
-
-fn assert_identical_runs(bench: Benchmark, patterns: usize) {
-    assert_identical_backend_runs(bench, patterns, BackendKind::TrArchitect);
 }
 
 #[test]
@@ -86,19 +80,6 @@ fn d695_is_bit_identical_across_jobs() {
 #[test]
 fn p34392_is_bit_identical_across_jobs() {
     assert_identical_runs(Benchmark::P34392, 400);
-}
-
-/// The rect-pack backend places rectangles serially, so the worker and
-/// probe pools must have no influence at all: the full jobs grid is
-/// bit-identical on both benchmarks.
-#[test]
-fn d695_rect_pack_is_bit_identical_across_jobs() {
-    assert_identical_backend_runs(Benchmark::D695, 600, BackendKind::RectPack);
-}
-
-#[test]
-fn p34392_rect_pack_is_bit_identical_across_jobs() {
-    assert_identical_backend_runs(Benchmark::P34392, 400, BackendKind::RectPack);
 }
 
 /// Like [`optimize`], but with an active iteration-bounded
