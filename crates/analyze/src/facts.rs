@@ -1,4 +1,4 @@
-//! Per-file analysis facts: the cacheable unit of the engine.
+//! Per-file analysis facts: what the global passes know of one file.
 //!
 //! [`build`] runs the lexer, the parser and every *local* (single-file)
 //! lint over one source file and distills the result into a
@@ -6,16 +6,12 @@
 //! resolution hints and one [`FnFact`] per function with its
 //! nondeterminism sources, fingerprint/golden sinks and the ordered
 //! lock-acquisition/call event stream. Everything the *global* passes
-//! (call graph, DET-10, LOCK-02, ARITH-02, LOCK-01) need is in here, so
-//! a warm engine run can skip lexing and parsing entirely by reloading
-//! facts from the on-disk cache (`cache` module), keyed by the file's
-//! content fingerprint.
-
-use soctam_exec::fx_fingerprint128;
+//! (call graph, DET-10, LOCK-02, ARITH-02, LOCK-01) need is in here;
+//! they never see tokens or source text.
 
 use crate::ast::{self, CallKind};
 use crate::lexer::{lex, Tok, TokKind};
-use crate::lints::{self, SourceFile};
+use crate::lints::{self, Finding, SourceFile};
 
 /// A parsed waiver comment (`// soctam-analyze: allow(ID) -- reason`).
 #[derive(Clone, Debug)]
@@ -28,17 +24,6 @@ pub struct WaiverRec {
     pub line: usize,
     /// The written justification after `--`, if present.
     pub reason: Option<String>,
-}
-
-/// One local-lint finding, in cacheable (owned-string) form.
-#[derive(Clone, Debug)]
-pub struct FindingRec {
-    /// Registry lint ID.
-    pub lint: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Human explanation.
-    pub message: String,
 }
 
 /// One entry of a function's ordered event stream: lock acquisitions
@@ -112,12 +97,10 @@ pub struct FileFacts {
     pub crate_dir: String,
     /// Path relative to the crate directory.
     pub rel_path: String,
-    /// `fx_fingerprint128` of the file contents (cache key).
-    pub fp: u128,
     /// Lives under `src/`.
     pub is_src: bool,
     /// Local-lint findings.
-    pub findings: Vec<FindingRec>,
+    pub findings: Vec<Finding>,
     /// Waiver comments, in source order.
     pub waivers: Vec<WaiverRec>,
     /// Flattened `use` declarations: `(leaf, root segment)`.
@@ -234,7 +217,6 @@ pub fn build(file: &SourceFile) -> FileFacts {
         display_path: file.display_path.clone(),
         crate_dir: file.crate_dir.clone(),
         rel_path: file.rel_path.clone(),
-        fp: fx_fingerprint128(&file.source),
         is_src: file.rel_path.starts_with("src/"),
         findings: lints::local_findings(file, &toks),
         waivers: parse_waivers(&toks),

@@ -35,16 +35,14 @@
 //! // soctam-analyze: allow(ARITH-01) -- k is a rail count, bounded by the core count
 //! ```
 //!
-//! Per-file parses run in parallel on the `soctam-exec` pool with an
-//! ordered reduction, and parse results are cached on disk keyed by
-//! content fingerprint (`cache`), so warm re-runs are incremental. Run
+//! `check` is one serial pass: [`workspace::collect_workspace`] reads
+//! every `.rs` file, then [`analyze`] lexes, parses and lints them in
+//! path order, so the report is a pure function of the tree. Run
 //! `cargo run -p soctam-analyze -- check` (exit 0 only on a clean
-//! tree), or `-- check --format json` for the `soctam-analyze/2`
+//! tree), or `-- check --format json` for the `soctam-analyze/3`
 //! machine-readable report. See DESIGN.md §13.
 
 pub mod ast;
-pub mod cache;
-pub mod engine;
 pub mod facts;
 pub mod graph;
 pub mod lexer;
@@ -56,7 +54,6 @@ pub mod workspace;
 use std::io;
 use std::path::Path;
 
-pub use engine::Options;
 pub use lints::{analyze, Analysis, Finding, LintInfo, PathStep, Severity, SourceFile, LINTS};
 pub use report::{render, Format};
 
@@ -65,29 +62,32 @@ pub use report::{render, Format};
 pub struct CheckReport {
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Files whose facts were served from the on-disk parse cache.
-    pub cache_hits: usize,
-    /// Files that had to be lexed and parsed this run.
-    pub cache_misses: usize,
     /// The findings, waivers and stale-waiver list.
     pub analysis: Analysis,
 }
 
-/// Runs the full pass over the workspace rooted at `root` with default
-/// options: the process-global pool and the on-disk cache under
-/// `target/analyze-cache`.
+/// Runs the full pass over the workspace rooted at `root`.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures from the workspace walk.
+/// Propagates I/O failures from the workspace walk (each naming the
+/// path it failed on), and reports a walk that found no `.rs` file as
+/// [`io::ErrorKind::NotFound`]: an empty scan proves nothing clean.
 pub fn run_check(root: &Path) -> io::Result<CheckReport> {
-    engine::run(
-        root,
-        &Options {
-            jobs: 0,
-            cache_dir: Some(root.join("target/analyze-cache")),
-        },
-    )
+    let files = workspace::collect_workspace(root)?;
+    if files.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!(
+                "{}: no .rs files found in the workspace members",
+                root.display()
+            ),
+        ));
+    }
+    Ok(CheckReport {
+        files_scanned: files.len(),
+        analysis: analyze(&files),
+    })
 }
 
 /// Removes the stale waiver comments listed in `report` from the files
@@ -112,7 +112,7 @@ pub fn fix_stale_waivers(root: &Path, report: &CheckReport) -> io::Result<usize>
     let mut removed = 0usize;
     for (file, lines) in by_file {
         let path = root.join(file);
-        let source = std::fs::read_to_string(&path)?;
+        let source = std::fs::read_to_string(&path).map_err(|e| workspace::at(&path, e))?;
         // Byte offset where the waiver comment token starts, per line.
         let mut cut_at: BTreeMap<usize, usize> = BTreeMap::new();
         for tok in lexer::lex(&source) {
@@ -145,7 +145,7 @@ pub fn fix_stale_waivers(root: &Path, report: &CheckReport) -> io::Result<usize>
             line_start += raw.len();
         }
         if text != source {
-            std::fs::write(&path, text)?;
+            std::fs::write(&path, text).map_err(|e| workspace::at(&path, e))?;
         }
     }
     Ok(removed)

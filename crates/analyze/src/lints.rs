@@ -381,20 +381,13 @@ impl<'a> FileCtx<'a> {
     }
 }
 
-/// Runs every single-file (token-level) lint over one file. The result
-/// is owned-string [`FindingRec`]s so it can live in the parse cache.
-pub(crate) fn local_findings(file: &SourceFile, toks: &[Tok]) -> Vec<crate::facts::FindingRec> {
+/// Runs every single-file (token-level) lint over one file.
+pub(crate) fn local_findings(file: &SourceFile, toks: &[Tok]) -> Vec<Finding> {
     let ctx = FileCtx::new(file, toks);
     let mut raw = Vec::new();
     det03(&ctx, &mut raw);
     arith01(&ctx, &mut raw);
-    raw.into_iter()
-        .map(|f| crate::facts::FindingRec {
-            lint: f.lint.to_string(),
-            line: f.line,
-            message: f.message,
-        })
-        .collect()
+    raw
 }
 
 /// One lock acquisition extracted by LOCK-01.
@@ -408,10 +401,9 @@ pub(crate) struct LockAcq {
 
 /// Runs every applicable lint over `files` and resolves waivers.
 ///
-/// This is the sequential, cache-free entry point (corpus tests, small
-/// trees); the parallel incremental engine (`engine::run`) builds the
-/// same per-file facts on the `soctam-exec` pool and calls
-/// [`analyze_facts`] — one code path for both.
+/// Builds each file's facts in order, then runs `analyze_facts` over
+/// them; `check`, the corpus tests and the self-check all come through
+/// here.
 #[must_use]
 pub fn analyze(files: &[SourceFile]) -> Analysis {
     let facts: Vec<crate::facts::FileFacts> = files.iter().map(crate::facts::build).collect();
@@ -425,23 +417,10 @@ pub(crate) fn analyze_facts(facts: &[crate::facts::FileFacts]) -> Analysis {
     use crate::facts::Event;
     let mut out = Analysis::default();
 
-    let mut raw: Vec<Finding> = Vec::new();
-    for file in facts {
-        for rec in &file.findings {
-            // Cached facts may name a lint that was since retired;
-            // skipping it beats inventing an unregistered ID.
-            if let Some(info) = lint_info(&rec.lint) {
-                raw.push(Finding {
-                    lint: info.id,
-                    file: file.display_path.clone(),
-                    line: rec.line,
-                    message: rec.message.clone(),
-                    waiver_reason: None,
-                    path: Vec::new(),
-                });
-            }
-        }
-    }
+    let mut raw: Vec<Finding> = facts
+        .iter()
+        .flat_map(|file| file.findings.iter().cloned())
+        .collect();
 
     // LOCK-01: same-function pairwise inversions, from the per-function
     // event streams.

@@ -1,9 +1,9 @@
-//! The `soctam-analyze` binary: `check` runs the engine, `lints`
+//! The `soctam-analyze` binary: `check` runs the analysis, `lints`
 //! prints the registry.
 //!
 //! Exit codes (referenced by `ci/fault_smoke.sh`'s convention note):
 //! `0` clean tree, `1` at least one unwaived finding, `2` usage or I/O
-//! error.
+//! error, or a workspace with no `.rs` file to scan.
 //!
 //! Deliberately no wall-clock timing in here — the analyzer is subject
 //! to its own DET lints; CI measures the budget with `time` instead.
@@ -11,23 +11,18 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use soctam_analyze::{engine, fix_stale_waivers, render, Format, Options, LINTS};
+use soctam_analyze::{fix_stale_waivers, render, run_check, Format, LINTS};
 
 const USAGE: &str = "\
 soctam-analyze — std-only interprocedural determinism & invariant analysis
 
 USAGE:
-    soctam-analyze check [--root DIR] [--format text|json] [--jobs N]
-                         [--cache-dir DIR] [--no-cache] [--fix-stale-waivers]
+    soctam-analyze check [--root DIR] [--format text|json] [--fix-stale-waivers]
     soctam-analyze lints
     soctam-analyze --help
 
-    --jobs N       parse fan-out width (0 = machine width; output is
-                   bit-identical for any N)
-    --cache-dir D  parse-cache directory (default: <root>/target/analyze-cache)
-    --no-cache     disable the parse cache for this run
-
-Exit codes: 0 = clean, 1 = unwaived findings, 2 = usage/I/O error.
+Exit codes: 0 = clean, 1 = unwaived findings, 2 = usage/I/O error or
+no .rs file found.
 ";
 
 /// `--fix-stale-waivers` iterates to a fixpoint (removing a waiver can
@@ -50,9 +45,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut root = PathBuf::from(".");
     let mut format = Format::Text;
     let mut fix = false;
-    let mut jobs = 0usize;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut no_cache = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -74,20 +66,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     other => return Err(format!("unknown format `{other}`")),
                 };
             }
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .ok_or_else(|| "--jobs needs a value".to_string())?
-                    .parse()
-                    .map_err(|_| "--jobs needs a number".to_string())?;
-            }
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(
-                    it.next()
-                        .ok_or_else(|| "--cache-dir needs a value".to_string())?,
-                ));
-            }
-            "--no-cache" => no_cache = true,
             "--fix-stale-waivers" => fix = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -111,15 +89,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         Some("check") => {
-            let opts = Options {
-                jobs,
-                cache_dir: if no_cache {
-                    None
-                } else {
-                    Some(cache_dir.unwrap_or_else(|| root.join("target/analyze-cache")))
-                },
-            };
-            let mut report = engine::run(&root, &opts).map_err(|e| e.to_string())?;
+            let mut report = run_check(&root).map_err(|e| e.to_string())?;
             if fix {
                 for _ in 0..MAX_FIX_ROUNDS {
                     if report.analysis.stale.is_empty() {
@@ -127,7 +97,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     }
                     let removed = fix_stale_waivers(&root, &report).map_err(|e| e.to_string())?;
                     eprintln!("soctam-analyze: removed {removed} stale waiver(s)");
-                    report = engine::run(&root, &opts).map_err(|e| e.to_string())?;
+                    report = run_check(&root).map_err(|e| e.to_string())?;
                     if removed == 0 {
                         break;
                     }

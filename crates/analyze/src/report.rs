@@ -1,10 +1,9 @@
-//! Text and machine-readable (`soctam-analyze/2`) report rendering.
+//! Text and machine-readable (`soctam-analyze/3`) report rendering.
 //!
-//! v2 adds two things over v1: every interprocedural finding carries a
-//! `"path"` array of `{fn, file, line}` hops (source → sink call-path
-//! evidence), and the top level carries a `"cache"` object with the
-//! parse-cache hit/miss counts so CI can assert the incremental path
-//! was actually exercised on a warm re-run.
+//! Every interprocedural finding carries a `"path"` array of
+//! `{fn, file, line}` hops (source → sink call-path evidence). v3 drops
+//! v2's top-level `"cache"` hit/miss object along with the parse cache
+//! it counted; the rest of the schema is unchanged.
 
 use std::fmt::Write as _;
 
@@ -16,7 +15,7 @@ use crate::CheckReport;
 pub enum Format {
     /// Human-readable, one finding per line (call paths indented).
     Text,
-    /// The `soctam-analyze/2` JSON schema (the `soctam-bench/1`
+    /// The `soctam-analyze/3` JSON schema (the `soctam-bench/1`
     /// precedent: a top-level `schema` tag plus flat arrays).
     Json,
 }
@@ -44,10 +43,9 @@ fn render_text(report: &CheckReport) -> String {
     let warnings = count(analysis, Severity::Warning);
     let _ = writeln!(
         out,
-        "soctam-analyze: {} files scanned ({} cached), {errors} errors, \
+        "soctam-analyze: {} files scanned, {errors} errors, \
          {warnings} warnings, {} waived",
         report.files_scanned,
-        report.cache_hits,
         analysis.waived.len()
     );
     out
@@ -64,13 +62,8 @@ fn count(analysis: &Analysis, sev: Severity) -> usize {
 fn render_json(report: &CheckReport) -> String {
     let analysis = &report.analysis;
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"soctam-analyze/2\",\n");
+    out.push_str("{\n  \"schema\": \"soctam-analyze/3\",\n");
     let _ = writeln!(out, "  \"files_scanned\": {},", report.files_scanned);
-    let _ = writeln!(
-        out,
-        "  \"cache\": {{\"hits\": {}, \"misses\": {}}},",
-        report.cache_hits, report.cache_misses
-    );
     out.push_str("  \"lints\": [\n");
     for (i, l) in LINTS.iter().enumerate() {
         let _ = write!(
@@ -170,8 +163,6 @@ mod tests {
     fn sample() -> CheckReport {
         CheckReport {
             files_scanned: 10,
-            cache_hits: 4,
-            cache_misses: 6,
             analysis: Analysis {
                 findings: vec![
                     Finding {
@@ -211,10 +202,10 @@ mod tests {
     #[test]
     fn json_has_schema_tag_and_escapes() {
         let json = render(&sample(), Format::Json);
-        assert!(json.contains("\"schema\": \"soctam-analyze/2\""));
+        assert!(json.contains("\"schema\": \"soctam-analyze/3\""));
         assert!(json.contains("a \\\"quoted\\\" hazard"));
         assert!(json.contains("\"files_scanned\": 10"));
-        assert!(json.contains("\"cache\": {\"hits\": 4, \"misses\": 6}"));
+        assert!(!json.contains("\"cache\""));
         assert!(json.contains(
             "\"path\": [{\"fn\": \"sinky\", \"file\": \"crates/x/src/a.rs\", \"line\": 9}, \
              {\"fn\": \"srcy\", \"file\": \"crates/x/src/b.rs\", \"line\": 4}]"
@@ -227,6 +218,6 @@ mod tests {
         assert!(text.contains("2 errors"));
         assert!(text.contains("DET-03"));
         assert!(text.contains("    via srcy (crates/x/src/b.rs:4)"));
-        assert!(text.contains("(4 cached)"));
+        assert!(text.contains("soctam-analyze: 10 files scanned, 2 errors, 0 warnings, 0 waived"));
     }
 }

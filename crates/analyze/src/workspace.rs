@@ -21,10 +21,12 @@ const CORPUS_DIR: &str = "tests/corpus";
 ///
 /// # Errors
 ///
-/// Propagates I/O errors and reports a missing/unparseable root
-/// `Cargo.toml` as [`io::ErrorKind::InvalidData`].
+/// Propagates I/O errors, each prefixed with the path it failed on,
+/// and reports an unparseable root `Cargo.toml` as
+/// [`io::ErrorKind::InvalidData`].
 pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
-    let manifest = fs::read_to_string(root.join("Cargo.toml"))?;
+    let manifest_path = root.join("Cargo.toml");
+    let manifest = fs::read_to_string(&manifest_path).map_err(|e| at(&manifest_path, e))?;
     let mut member_dirs = expand_members(root, &manifest)?;
     // The root package (integration tests + examples) rides along.
     if manifest.contains("[package]") {
@@ -63,7 +65,7 @@ pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
                     .unwrap_or(&path)
                     .to_string_lossy()
                     .replace('\\', "/");
-                let source = fs::read_to_string(&path)?;
+                let source = fs::read_to_string(&path).map_err(|e| at(&path, e))?;
                 files.push(SourceFile {
                     crate_dir: crate_dir.clone(),
                     rel_path,
@@ -101,8 +103,8 @@ fn expand_members(root: &Path, manifest: &str) -> io::Result<Vec<PathBuf>> {
         }
         if let Some(prefix) = entry.strip_suffix("/*") {
             let base = root.join(prefix);
-            for child in fs::read_dir(&base)? {
-                let child = child?.path();
+            for child in fs::read_dir(&base).map_err(|e| at(&base, e))? {
+                let child = child.map_err(|e| at(&base, e))?.path();
                 if child.join("Cargo.toml").is_file() {
                     dirs.push(child);
                 }
@@ -119,9 +121,9 @@ fn expand_members(root: &Path, manifest: &str) -> io::Result<Vec<PathBuf>> {
 
 /// Recursively collects `.rs` files under `dir`.
 fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
-        .map(|e| e.map(|e| e.path()))
-        .collect::<io::Result<_>>()?;
+    let mut entries: Vec<PathBuf> = fs::read_dir(dir)
+        .and_then(|rd| rd.map(|e| e.map(|e| e.path())).collect())
+        .map_err(|e| at(dir, e))?;
     entries.sort();
     for path in entries {
         if path.is_dir() {
@@ -131,4 +133,9 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Prefixes an I/O error with the path it failed on, keeping its kind.
+pub(crate) fn at(path: &Path, err: io::Error) -> io::Error {
+    io::Error::new(err.kind(), format!("{}: {err}", path.display()))
 }

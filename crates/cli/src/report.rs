@@ -20,7 +20,8 @@
 use crate::{execute, parse, CliError, Invocation};
 
 /// One-line summary for the top-level usage text.
-pub(crate) const SUMMARY: &str = "regenerate the `<!-- soctam: ... -->` sections of a Markdown file";
+pub(crate) const SUMMARY: &str =
+    "regenerate the `<!-- soctam: ... -->` sections of a Markdown file";
 
 const MARKER_OPEN: &str = "<!-- soctam:";
 const MARKER_CLOSE: &str = "-->";

@@ -45,7 +45,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::fault;
@@ -314,13 +314,6 @@ impl Pool {
     /// calling thread, with identical results.
     pub fn serial() -> Self {
         Self::new(1)
-    }
-
-    /// Shared process-wide pool sized to the machine's available
-    /// parallelism.
-    pub fn global() -> &'static Pool {
-        static GLOBAL: OnceLock<Pool> = OnceLock::new();
-        GLOBAL.get_or_init(|| Pool::new(0))
     }
 
     /// Number of participants per call (worker threads + caller).

@@ -22,8 +22,9 @@
 //!
 //! Replay semantics ([`Journal::open`]):
 //! * complete, valid lines are returned in order;
-//! * corrupted lines mid-file (checksum or framing mismatch) are
-//!   skipped and counted — later valid records still apply;
+//! * corrupted lines mid-file (checksum or framing mismatch, or bytes
+//!   that are not UTF-8) are skipped and counted — later valid records
+//!   still apply;
 //! * a torn final line (no trailing newline, or invalid framing at
 //!   EOF) is counted and truncated away so appends start clean;
 //! * duplicate terminal records for one job are tolerated — the last
@@ -122,22 +123,24 @@ impl Journal {
             .create(true)
             .append(true)
             .open(path)?;
-        let mut raw = String::new();
+        // Bytes, not a String: a tail torn inside a multi-byte
+        // character is not UTF-8, and must not fail the whole replay.
+        let mut raw = Vec::new();
         file.seek(SeekFrom::Start(0))?;
-        file.read_to_string(&mut raw)?;
+        file.read_to_end(&mut raw)?;
 
         let mut replay = Replay::default();
         let mut valid_end = 0usize;
         let mut cursor = 0usize;
-        for line in raw.split_inclusive('\n') {
+        for line in raw.split_inclusive(|&b| b == b'\n') {
             let start = cursor;
             cursor += line.len();
-            let Some(framed) = line.strip_suffix('\n') else {
+            let Some(framed) = line.strip_suffix(b"\n") else {
                 // No newline: the write was torn mid-line.
                 replay.torn_tail = true;
                 continue;
             };
-            match parse_line(framed) {
+            match std::str::from_utf8(framed).ok().and_then(parse_line) {
                 Some(record) => {
                     replay.records.push(record);
                     // Everything up to and including this line is good
@@ -156,8 +159,8 @@ impl Journal {
             // (complete corrupt lines there are dropped with it).
             if valid_end < raw.len() {
                 let corrupt_after: u64 = raw[valid_end..]
-                    .split_inclusive('\n')
-                    .filter(|l| l.ends_with('\n'))
+                    .split_inclusive(|&b| b == b'\n')
+                    .filter(|l| l.ends_with(b"\n"))
                     .count() as u64;
                 replay.corrupt = replay.corrupt.saturating_sub(corrupt_after);
             }
@@ -295,6 +298,58 @@ mod tests {
         }
         let (_, replay) = Journal::open(&path).unwrap();
         assert_eq!(replay.records.len(), 2, "records after corruption apply");
+        assert_eq!(replay.corrupt, 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn tail_torn_inside_a_multibyte_char_is_recovered() {
+        let path = temp_path("torn-utf8");
+        let _ = std::fs::remove_file(&path);
+        let delta = Json::obj(vec![("rec", Json::str("Δ"))]);
+        {
+            let (journal, _) = Journal::open(&path).unwrap();
+            journal.append(&record(1), true).unwrap();
+            journal.append(&delta, true).unwrap();
+        }
+        // Cut the second record just after the first byte of `Δ`
+        // (0xCE 0x94), leaving a tail that is not UTF-8.
+        let bytes = std::fs::read(&path).unwrap();
+        let cut = bytes.iter().position(|&b| b == 0xCE).unwrap() + 1;
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+
+        let (journal, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.records, vec![record(1)]);
+        assert!(replay.torn_tail);
+        assert_eq!(replay.corrupt, 0);
+        journal.append(&delta, true).unwrap();
+        drop(journal);
+        let (_, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.records, vec![record(1), delta]);
+        assert!(!replay.torn_tail);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn complete_line_that_is_not_utf8_is_corruption() {
+        let path = temp_path("bad-utf8");
+        let _ = std::fs::remove_file(&path);
+        {
+            let (journal, _) = Journal::open(&path).unwrap();
+            journal.append(&record(1), false).unwrap();
+        }
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(b"SJ1 \xff\xfe\n").unwrap();
+        drop(file);
+        {
+            let (journal, replay) = Journal::open(&path).unwrap();
+            assert_eq!(replay.records, vec![record(1)]);
+            assert_eq!(replay.corrupt, 1);
+            assert!(!replay.torn_tail);
+            journal.append(&record(2), true).unwrap();
+        }
+        let (_, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.records, vec![record(1), record(2)]);
         assert_eq!(replay.corrupt, 1);
         let _ = std::fs::remove_file(&path);
     }
